@@ -49,6 +49,7 @@ use std::sync::Arc;
 use bench::cli::Args;
 use ebpf::asm::assemble;
 use ebpf::Program;
+use verifier::passes::{solve, ReachingDefs};
 use verifier::{
     AnalyzerOptions, Cfg, DegradationPolicy, ProgramPasses, Strategy, TransferMemo,
     VerificationSession,
@@ -260,10 +261,13 @@ fn collect_fixtures(dir: &str) -> Result<(Vec<String>, Vec<Program>), ExitCode> 
 }
 
 /// The per-pc pass dump of one program: live registers, live stack-slot
-/// and reaching-definition counts, and dead-code diagnostics.
+/// and reaching-definition counts, and dead-code diagnostics. Reaching
+/// definitions are diagnostic only, so they are solved here rather than
+/// in [`ProgramPasses`].
 fn dump_passes(prog: &Program) {
     let cfg = Cfg::build(prog);
     let passes = ProgramPasses::compute(prog, &cfg);
+    let reach = solve(&ReachingDefs::new(prog), prog, &cfg).before;
     for (pc, insn) in prog.insns().iter().enumerate() {
         if passes.is_unreachable(pc) {
             println!("{pc:>3}: {insn:<32} [unreachable]");
@@ -283,7 +287,7 @@ fn dump_passes(prog: &Program) {
             "{pc:>3}: {insn:<32} live={{{}}} slots={} reach={}{note}",
             regs.join(","),
             live.slot_count(),
-            passes.reaching_defs_in(pc),
+            reach[pc].iter().map(|w| w.count_ones()).sum::<u32>(),
         );
     }
 }

@@ -325,44 +325,48 @@ impl Insn {
         }
     }
 
-    /// The registers read by this instruction.
+    /// The registers an instruction reads through its operands, in the
+    /// order a verifier checks them: `dst` before `src`, a store's base
+    /// before its source. Allocation-free; unused entries are `None`.
+    /// Calls read argument registers instead (see [`Insn::use_mask`]).
     #[must_use]
-    pub fn use_regs(self) -> Vec<Reg> {
-        fn push_src(out: &mut Vec<Reg>, src: Src) {
-            if let Src::Reg(r) = src {
-                out.push(r);
-            }
-        }
-        let mut out = Vec::new();
+    pub fn use_regs(self) -> [Option<Reg>; 2] {
+        let reg = |src: Src| match src {
+            Src::Reg(r) => Some(r),
+            Src::Imm(_) => None,
+        };
         match self {
             Insn::Alu {
                 op: AluOp::Mov,
                 src,
                 ..
-            } => push_src(&mut out, src),
+            } => [reg(src), None],
             Insn::Alu {
                 op: AluOp::Neg,
                 dst,
                 ..
-            } => out.push(dst),
-            Insn::Alu { dst, src, .. } => {
-                out.push(dst);
-                push_src(&mut out, src);
+            } => [Some(dst), None],
+            Insn::Alu { dst, src, .. } | Insn::Jmp { dst, src, .. } => [Some(dst), reg(src)],
+            Insn::Store { base, src, .. } => [Some(base), reg(src)],
+            Insn::Load { base, .. } => [Some(base), None],
+            Insn::LoadImm64 { .. } | Insn::Ja { .. } | Insn::Call { .. } | Insn::Exit => {
+                [None, None]
             }
-            Insn::LoadImm64 { .. } | Insn::Ja { .. } | Insn::Exit => {}
-            Insn::Load { base, .. } => out.push(base),
-            Insn::Store { base, src, .. } => {
-                out.push(base);
-                push_src(&mut out, src);
-            }
-            Insn::Jmp { dst, src, .. } => {
-                out.push(dst);
-                push_src(&mut out, src);
-            }
-            // Calls read the argument registers r1–r5.
-            Insn::Call { .. } => out.extend([Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5]),
         }
-        out
+    }
+
+    /// Every register this instruction may read, as a bitmask over
+    /// `Reg::index()`: the [`Insn::use_regs`] operands, or all argument
+    /// registers `r1`–`r5` for a call.
+    #[must_use]
+    pub fn use_mask(self) -> u16 {
+        if let Insn::Call { .. } = self {
+            return 0b11_1110;
+        }
+        self.use_regs()
+            .into_iter()
+            .flatten()
+            .fold(0, |mask, r| mask | (1 << r.index()))
     }
 }
 
@@ -430,7 +434,8 @@ mod tests {
             src: Src::Reg(Reg::R2),
         };
         assert_eq!(add.def_reg(), Some(Reg::R1));
-        assert_eq!(add.use_regs(), vec![Reg::R1, Reg::R2]);
+        assert_eq!(add.use_regs(), [Some(Reg::R1), Some(Reg::R2)]);
+        assert_eq!(add.use_mask(), 0b110);
 
         let mov = Insn::Alu {
             width: Width::W64,
@@ -438,7 +443,8 @@ mod tests {
             dst: Reg::R1,
             src: Src::Imm(7),
         };
-        assert_eq!(mov.use_regs(), Vec::<Reg>::new());
+        assert_eq!(mov.use_regs(), [None, None]);
+        assert_eq!(mov.use_mask(), 0);
 
         let store = Insn::Store {
             size: MemSize::W,
@@ -447,11 +453,13 @@ mod tests {
             src: Src::Reg(Reg::R0),
         };
         assert_eq!(store.def_reg(), None);
-        assert_eq!(store.use_regs(), vec![Reg::R10, Reg::R0]);
+        assert_eq!(store.use_regs(), [Some(Reg::R10), Some(Reg::R0)]);
+        assert_eq!(store.use_mask(), (1 << 10) | 1);
 
         let call = Insn::Call { helper: 1 };
         assert_eq!(call.def_reg(), Some(Reg::R0));
-        assert_eq!(call.use_regs().len(), 5);
+        assert_eq!(call.use_regs(), [None, None]);
+        assert_eq!(call.use_mask(), 0b11_1110, "r1-r5");
     }
 
     #[test]

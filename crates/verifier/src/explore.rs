@@ -37,7 +37,6 @@
 //! trait.
 
 use ebpf::Program;
-use interval_domain::WidenThresholds;
 
 use crate::analyzer::AnalyzerOptions;
 use crate::cfg::Cfg;
@@ -210,32 +209,11 @@ impl ExplorationStrategy for PathSensitive {
         let transfer = Transfer::new(options.clone());
         stats::reset();
         crate::memo::counters::reset();
-        let thresholds = if options.harvest_thresholds && !cfg.back_edges().is_empty() {
-            fixpoint::harvest_thresholds(prog)
-        } else {
-            WidenThresholds::EMPTY
-        };
+        let thresholds = fixpoint::harvest_thresholds(prog, &cfg, options);
 
-        // Dense loop-head indexing for the per-path trip counters and
-        // the per-head widening summaries.
-        let mut head_idx = vec![usize::MAX; prog.len()];
-        let heads: Vec<usize> = (0..prog.len()).filter(|&pc| cfg.is_loop_head(pc)).collect();
-        for (i, &h) in heads.iter().enumerate() {
-            head_idx[h] = i;
-        }
-        // RPO position per head: heads *later* in RPO are (for reducible
-        // CFGs) nested inside or sequenced after earlier ones, and get
-        // their unroll budget reset when an earlier head takes a trip —
-        // an inner loop is unrolled per *entry*, not once per program.
-        let head_rpo: Vec<usize> = heads.iter().map(|&h| cfg.rpo_pos(h)).collect();
-        // Checkpoints — where paths can re-converge, so where pruning
-        // can fire: loop heads plus merge points (≥ 2 predecessors).
-        let mut preds = vec![0u32; prog.len()];
-        for &pc in cfg.rpo() {
-            for &s in cfg.successors(pc) {
-                preds[s] += 1;
-            }
-        }
+        // Per-head trip counters and widening summaries, by the CFG's
+        // dense loop-head index.
+        let head_rpo = cfg.head_rpo();
         // The pass framework feeds checkpoint cleaning: every arrival
         // at a checkpoint drops its dead components (kernel
         // `clean_verifier_state`) *before* the summary join and the
@@ -249,8 +227,9 @@ impl ExplorationStrategy for PathSensitive {
 
         let mut visited = VisitedTable::with_cap(prog.len(), options.visited_cap as usize);
         let mut report: Vec<Option<AbsState>> = vec![None; prog.len()];
-        let mut summaries: Vec<Option<AbsState>> = vec![None; heads.len()];
-        let mut counters: Vec<JoinCounters> = heads.iter().map(|_| JoinCounters::new()).collect();
+        let mut summaries: Vec<Option<AbsState>> = vec![None; head_rpo.len()];
+        let mut counters: Vec<JoinCounters> =
+            head_rpo.iter().map(|_| JoinCounters::new()).collect();
         let mut unrolled_trips: u64 = 0;
 
         // The DFS worklist: `(pc, in-state, per-head trip counts)`.
@@ -258,8 +237,11 @@ impl ExplorationStrategy for PathSensitive {
         // `Rc`'d trip vector (one more) — the copy-on-write layer is
         // what makes the multiplied live states affordable; the trip
         // counts only materialize at loop heads, where they change.
-        let mut stack: Vec<(usize, AbsState, std::rc::Rc<Vec<u32>>)> =
-            vec![(0, AbsState::entry(), std::rc::Rc::new(vec![0; heads.len()]))];
+        let mut stack: Vec<(usize, AbsState, std::rc::Rc<Vec<u32>>)> = vec![(
+            0,
+            AbsState::entry(),
+            std::rc::Rc::new(vec![0; head_rpo.len()]),
+        )];
         let start = std::time::Instant::now();
         let mut visits: u64 = 0;
         while let Some((pc, mut state, mut trips)) = stack.pop() {
@@ -273,8 +255,10 @@ impl ExplorationStrategy for PathSensitive {
             }
             crate::analyzer::check_deadline(start, options, pc)?;
             crate::failpoint::fire(crate::failpoint::FaultSite::PathVisit);
-            let h = head_idx[pc];
-            let checkpoint = h != usize::MAX || preds[pc] > 1;
+            let h = cfg.head_index(pc);
+            // Checkpoints — where paths can re-converge, so where pruning
+            // can fire: loop heads plus merge points.
+            let checkpoint = cfg.is_checkpoint(pc);
             if checkpoint {
                 if let Some(p) = &passes {
                     let mask = p.live_in(pc);

@@ -221,10 +221,20 @@ impl AnalysisStats {
 /// sub-register, so that is the useful rung, not the sign-extended
 /// 64-bit pattern).
 ///
-/// Shared with the path-sensitive explorer's widening fallback
-/// ([`crate::explore::PathSensitive`]), so both strategies extrapolate
-/// through the same program-derived ladder.
-pub(crate) fn harvest_thresholds(prog: &Program) -> WidenThresholds {
+/// Shared with the path explorers' widening fallback
+/// ([`crate::explore::PathSensitive`], [`crate::PathParallel`]), so every
+/// strategy extrapolates through the same program-derived ladder.
+/// Thresholds only matter where widening can fire: acyclic programs (the
+/// bulk of real workloads) and [`AnalyzerOptions::harvest_thresholds`]
+/// off skip the scan and get [`WidenThresholds::EMPTY`].
+pub(crate) fn harvest_thresholds(
+    prog: &Program,
+    cfg: &Cfg,
+    options: &AnalyzerOptions,
+) -> WidenThresholds {
+    if !options.harvest_thresholds || cfg.back_edges().is_empty() {
+        return WidenThresholds::EMPTY;
+    }
     WidenThresholds::harvest(prog.insns().iter().filter_map(|insn| match insn {
         Insn::Jmp {
             width,
@@ -255,13 +265,7 @@ pub fn run(
 ) -> Result<(Vec<Option<AbsState>>, AnalysisStats), VerifierError> {
     stats::reset();
     crate::memo::counters::reset();
-    // Thresholds only matter where widening can fire; acyclic programs
-    // (the bulk of real workloads) skip the harvest scan entirely.
-    let thresholds = if options.harvest_thresholds && !cfg.back_edges().is_empty() {
-        harvest_thresholds(prog)
-    } else {
-        WidenThresholds::EMPTY
-    };
+    let thresholds = harvest_thresholds(prog, cfg, options);
 
     // The pass framework feeds checkpoint cleaning: states flowing into
     // a loop head or merge point drop their dead components first, so
@@ -272,17 +276,11 @@ pub fn run(
     let passes = options
         .liveness_pruning
         .then(|| crate::passes::ProgramPasses::compute(prog, cfg));
-    let mut preds = vec![0u32; prog.len()];
-    for &pc in cfg.rpo() {
-        for &s in cfg.successors(pc) {
-            preds[s] += 1;
-        }
-    }
     let mut dead_components_cleared: u64 = 0;
 
     let mut entry = AbsState::entry();
     if let Some(p) = &passes {
-        if cfg.is_loop_head(0) || preds[0] > 1 {
+        if cfg.is_checkpoint(0) {
             let mask = p.live_in(0);
             dead_components_cleared += u64::from(entry.clear_dead(mask.regs, mask.slots));
         }
@@ -320,7 +318,7 @@ pub fn run(
             .expect("queued instructions have a state");
         for (succ, mut out) in transfer.step(prog, state, pc)? {
             if let Some(p) = &passes {
-                if cfg.is_loop_head(succ) || preds[succ] > 1 {
+                if cfg.is_checkpoint(succ) {
                     let mask = p.live_in(succ);
                     dead_components_cleared += u64::from(out.clear_dead(mask.regs, mask.slots));
                 }
@@ -362,7 +360,6 @@ pub fn run(
             cfg,
             &states,
             passes.as_ref(),
-            &preds,
             &mut dead_components_cleared,
         )?
     };
@@ -413,13 +410,12 @@ fn narrow(
     cfg: &Cfg,
     states: &[Option<AbsState>],
     passes: Option<&crate::passes::ProgramPasses>,
-    preds: &[u32],
     dead_components_cleared: &mut u64,
 ) -> Result<Vec<Option<AbsState>>, VerifierError> {
     let mut narrowed: Vec<Option<AbsState>> = vec![None; prog.len()];
     let mut entry = AbsState::entry();
     if let Some(p) = passes {
-        if cfg.is_loop_head(0) || preds[0] > 1 {
+        if cfg.is_checkpoint(0) {
             let mask = p.live_in(0);
             *dead_components_cleared += u64::from(entry.clear_dead(mask.regs, mask.slots));
         }
@@ -434,7 +430,7 @@ fn narrow(
             // narrowing must not resurrect dead components the
             // fixpoint already dropped.
             if let Some(p) = passes {
-                if cfg.is_loop_head(succ) || preds[succ] > 1 {
+                if cfg.is_checkpoint(succ) {
                     let mask = p.live_in(succ);
                     *dead_components_cleared += u64::from(out.clear_dead(mask.regs, mask.slots));
                 }

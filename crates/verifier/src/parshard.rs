@@ -115,17 +115,11 @@ struct SharedCtx<'a> {
     prog: &'a Program,
     options: &'a AnalyzerOptions,
     thresholds: WidenThresholds,
-    /// Dense loop-head index (usize::MAX = not a head), as in the
-    /// sequential explorer.
-    head_idx: Vec<usize>,
-    head_rpo: Vec<usize>,
-    heads: usize,
-    /// Predecessor counts — checkpoint = loop head or merge point.
-    preds: Vec<u32>,
+    /// Loop heads, checkpoints and `(from, to)` back edges: a
+    /// fall-through successor reached over a back edge is never spawned,
+    /// keeping every cycle inside one job.
+    cfg: Cfg,
     passes: Option<crate::passes::ProgramPasses>,
-    /// `(from, to)` back edges: a fall-through successor reached over a
-    /// back edge is never spawned, keeping every cycle inside one job.
-    back_edges: Vec<(usize, usize)>,
 }
 
 /// The work-stealing path-parallel strategy. Reads
@@ -152,23 +146,7 @@ impl ExplorationStrategy for PathParallel {
             n => n as usize,
         };
         let cfg = Cfg::build(prog);
-        let thresholds = if options.harvest_thresholds && !cfg.back_edges().is_empty() {
-            fixpoint::harvest_thresholds(prog)
-        } else {
-            WidenThresholds::EMPTY
-        };
-        let mut head_idx = vec![usize::MAX; prog.len()];
-        let heads: Vec<usize> = (0..prog.len()).filter(|&pc| cfg.is_loop_head(pc)).collect();
-        for (i, &h) in heads.iter().enumerate() {
-            head_idx[h] = i;
-        }
-        let head_rpo: Vec<usize> = heads.iter().map(|&h| cfg.rpo_pos(h)).collect();
-        let mut preds = vec![0u32; prog.len()];
-        for &pc in cfg.rpo() {
-            for &s in cfg.successors(pc) {
-                preds[s] += 1;
-            }
-        }
+        let thresholds = fixpoint::harvest_thresholds(prog, &cfg, options);
         let passes = options
             .liveness_pruning
             .then(|| crate::passes::ProgramPasses::compute(prog, &cfg));
@@ -187,12 +165,8 @@ impl ExplorationStrategy for PathParallel {
             prog,
             options,
             thresholds,
-            head_idx,
-            head_rpo,
-            heads: heads.len(),
-            preds,
+            cfg,
             passes,
-            back_edges: cfg.back_edges().to_vec(),
         };
         let (entry_regs, entry_chunks) = AbsState::entry().to_parts();
         ctx.pool.push(
@@ -202,7 +176,7 @@ impl ExplorationStrategy for PathParallel {
                 pc: 0,
                 regs: entry_regs,
                 chunks: entry_chunks,
-                trips: vec![0; heads.len()],
+                trips: vec![0; ctx.cfg.head_rpo().len()],
                 depth: 0,
             },
         );
@@ -392,11 +366,13 @@ impl ExplorationStrategy for PathParallel {
 /// table, and the spawn rule at forks.
 fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
     let transfer = Transfer::new(ctx.options.clone());
+    let head_rpo = ctx.cfg.head_rpo();
     let id = job.id;
     let mut children = Vec::new();
     let mut report: Vec<Option<AbsState>> = vec![None; ctx.prog.len()];
-    let mut summaries: Vec<Option<AbsState>> = vec![None; ctx.heads];
-    let mut counters: Vec<JoinCounters> = (0..ctx.heads).map(|_| JoinCounters::new()).collect();
+    let mut summaries: Vec<Option<AbsState>> = vec![None; head_rpo.len()];
+    let mut counters: Vec<JoinCounters> =
+        (0..head_rpo.len()).map(|_| JoinCounters::new()).collect();
     let mut unrolled_trips = 0u64;
     let mut dead_components_cleared = 0u64;
     let mut error = None;
@@ -425,8 +401,8 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
             break;
         }
         crate::failpoint::fire(crate::failpoint::FaultSite::ParshardJob);
-        let h = ctx.head_idx[pc];
-        let checkpoint = h != usize::MAX || ctx.preds[pc] > 1;
+        let h = ctx.cfg.head_index(pc);
+        let checkpoint = ctx.cfg.is_checkpoint(pc);
         if checkpoint {
             if let Some(p) = &ctx.passes {
                 let mask = p.live_in(pc);
@@ -435,15 +411,14 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
         }
         if h != usize::MAX {
             let take_trip = trips[h] < ctx.options.unroll_k;
-            let needs_reset = ctx
-                .head_rpo
+            let needs_reset = head_rpo
                 .iter()
                 .enumerate()
-                .any(|(j, &pos)| pos > ctx.head_rpo[h] && trips[j] != 0);
+                .any(|(j, &pos)| pos > head_rpo[h] && trips[j] != 0);
             if take_trip || needs_reset {
                 let t = std::rc::Rc::make_mut(&mut trips);
-                for (j, &pos) in ctx.head_rpo.iter().enumerate() {
-                    if pos > ctx.head_rpo[h] {
+                for (j, &pos) in head_rpo.iter().enumerate() {
+                    if pos > head_rpo[h] {
                         t[j] = 0;
                     }
                 }
@@ -512,7 +487,7 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
             let (taken_pc, taken_state) = outs.pop().expect("two successors");
             let (fall_pc, fall_state) = outs.pop().expect("two successors");
             let spawn =
-                depth >= ctx.options.spawn_depth && !ctx.back_edges.contains(&(pc, fall_pc));
+                depth >= ctx.options.spawn_depth && !ctx.cfg.back_edges().contains(&(pc, fall_pc));
             if spawn {
                 let (regs, chunks) = fall_state.to_parts();
                 let child = ctx.next_id.fetch_add(1, Ordering::Relaxed);

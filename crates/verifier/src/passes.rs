@@ -1,7 +1,8 @@
 //! Static-analysis passes over the [`Cfg`]: a reusable forward/backward
-//! dataflow solver plus the three passes the analyzer ships with —
-//! per-pc register/stack-slot **liveness**, **reaching definitions**,
-//! and **unreachable/dead-code** detection.
+//! dataflow solver plus the passes the analyzer ships with — per-pc
+//! register/stack-slot **liveness** and **unreachable/dead-code**
+//! detection, which the exploration engines read, and **reaching
+//! definitions**, a diagnostic only `annotate --passes` computes.
 //!
 //! The kernel's eBPF verifier owes its single biggest pruning lever not
 //! to a smarter join but to a *static* fact: per-pc liveness marks
@@ -17,12 +18,14 @@
 //! other for free.
 //!
 //! The framework half is deliberately generic: [`DataflowPass`] couples
-//! a per-point fact with a join and a transfer, and [`solve`] runs the
-//! classic priority worklist — reverse postorder for forward passes,
-//! post-order (reversed RPO priority) for backward ones — until the
-//! facts stabilize. All built-in passes use bitset facts (`u16` over
-//! registers, `u64` over the 64 stack slots, `Vec<u64>` over definition
-//! sites), so one solver iteration is a handful of word operations.
+//! a per-point fact with a join and a transfer, and [`solve`] sweeps the
+//! reachable instructions in reverse postorder for forward passes, or in
+//! post-order for backward ones, over the [`Cfg`]'s flat successor and
+//! predecessor arrays — one sweep when the CFG is acyclic, repeated
+//! sweeps until nothing changes otherwise. All built-in passes use
+//! bitset facts (`u16` over registers, `u64` over the 64 stack slots,
+//! `Vec<u64>` over definition sites), so one instruction's update is a
+//! handful of word operations.
 //!
 //! Soundness of the liveness facts is calibrated against the transfer
 //! layer's *actual* read surface, over-approximated where the static
@@ -47,9 +50,6 @@
 //! * `r10` is pinned live everywhere — it is the frame pointer every
 //!   stack access re-derives from.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use ebpf::{AluOp, Insn, Program, Reg, Src, Width, STACK_SIZE};
 
 use crate::cfg::Cfg;
@@ -65,10 +65,10 @@ const CALL_CLOBBERS: u16 = (1 << 6) - 1;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
     /// Facts flow with control flow (entry → exits); the solver
-    /// processes instructions in reverse-postorder priority.
+    /// sweeps instructions in reverse postorder.
     Forward,
     /// Facts flow against control flow (exits → entry); the solver
-    /// processes instructions in post-order priority.
+    /// sweeps instructions in post-order.
     Backward,
 }
 
@@ -110,88 +110,48 @@ pub struct Solution<F> {
     pub after: Vec<F>,
 }
 
-/// Runs `pass` over `prog` to a fixpoint with a priority worklist:
-/// reverse-postorder order for forward passes, reversed-RPO (post-order)
-/// for backward ones, so facts propagate in long runs instead of
-/// ping-ponging across back edges.
+/// Runs `pass` over `prog` to its least fixpoint by sweeping the
+/// reachable instructions in reverse postorder (forward passes) or its
+/// reverse (backward passes). Without back edges every instruction's
+/// inputs are final before the sweep reaches it, so one sweep suffices;
+/// a cyclic CFG repeats sweeps until one changes nothing.
 pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P::Fact> {
     let n = prog.len();
-    let mut before = vec![pass.empty_fact(); n];
-    let mut after = vec![pass.empty_fact(); n];
-
-    // Predecessor lists over the *reachable* subgraph (successors of
-    // reachable instructions are reachable by construction).
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &pc in cfg.rpo() {
-        for &s in cfg.successors(pc) {
-            preds[s].push(pc);
-        }
-    }
-
-    let total = cfg.rpo().len();
-    let priority = |pc: usize| match P::DIRECTION {
-        Direction::Forward => cfg.rpo_pos(pc),
-        Direction::Backward => total - 1 - cfg.rpo_pos(pc),
-    };
-
-    let mut queue: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-    let mut queued = vec![false; n];
-    for &pc in cfg.rpo() {
-        queue.push(Reverse((priority(pc), pc)));
-        queued[pc] = true;
-    }
-
-    while let Some(Reverse((_, pc))) = queue.pop() {
-        queued[pc] = false;
-        let insn = prog.insns()[pc];
-        match P::DIRECTION {
-            Direction::Forward => {
-                let mut input = if pc == 0 {
-                    pass.boundary_fact()
-                } else {
-                    pass.empty_fact()
-                };
-                for &p in &preds[pc] {
-                    pass.join(&mut input, &after[p]);
-                }
-                let output = pass.transfer(pc, insn, &input);
-                before[pc] = input;
-                if output != after[pc] {
-                    after[pc] = output;
-                    for &s in cfg.successors(pc) {
-                        if !queued[s] {
-                            queued[s] = true;
-                            queue.push(Reverse((priority(s), s)));
-                        }
-                    }
-                }
+    let forward = P::DIRECTION == Direction::Forward;
+    // `into[pc]` enters pc's transfer and `out[pc]` leaves it, in the
+    // pass's own direction.
+    let (mut into, mut out) = (vec![pass.empty_fact(); n], vec![pass.empty_fact(); n]);
+    let rpo = cfg.rpo();
+    loop {
+        let mut changed = false;
+        for i in 0..rpo.len() {
+            let pc = rpo[if forward { i } else { rpo.len() - 1 - i }];
+            let sources = if forward {
+                cfg.predecessors(pc)
+            } else {
+                cfg.successors(pc)
+            };
+            let boundary = if forward { pc == 0 } else { sources.is_empty() };
+            let mut fact = if boundary {
+                pass.boundary_fact()
+            } else {
+                pass.empty_fact()
+            };
+            for &q in sources {
+                pass.join(&mut fact, &out[q]);
             }
-            Direction::Backward => {
-                let succs = cfg.successors(pc);
-                let mut output = if succs.is_empty() {
-                    pass.boundary_fact()
-                } else {
-                    pass.empty_fact()
-                };
-                for &s in succs {
-                    pass.join(&mut output, &before[s]);
-                }
-                let input = pass.transfer(pc, insn, &output);
-                after[pc] = output;
-                if input != before[pc] {
-                    before[pc] = input;
-                    for &p in &preds[pc] {
-                        if !queued[p] {
-                            queued[p] = true;
-                            queue.push(Reverse((priority(p), p)));
-                        }
-                    }
-                }
+            let next = pass.transfer(pc, prog.insns()[pc], &fact);
+            into[pc] = fact;
+            if next != out[pc] {
+                out[pc] = next;
+                changed = true;
             }
         }
+        if !changed || cfg.back_edges().is_empty() {
+            let (before, after) = if forward { (into, out) } else { (out, into) };
+            return Solution { before, after };
+        }
     }
-
-    Solution { before, after }
 }
 
 // ---------------------------------------------------------------------
@@ -418,7 +378,7 @@ impl DataflowPass for Liveness {
         // registry arity (conservatively all of r1–r5 when the id is
         // unknown — the verifier will reject it anyway), and any
         // stack-region argument may read arbitrary slots through the
-        // passed pointer; everything else reads its `use_regs`. `exit`
+        // passed pointer; everything else reads its `use_mask`. `exit`
         // reads `r0` directly (return-value and pointer-leak checks).
         if let Insn::Call { helper } = insn {
             match ebpf::helpers::helper_sig(helper) {
@@ -435,14 +395,12 @@ impl DataflowPass for Liveness {
                     }
                 }
                 None => {
-                    live.regs |= CALL_CLOBBERS & !bit(Reg::R0);
+                    live.regs |= insn.use_mask();
                     live.slots = u64::MAX;
                 }
             }
         } else {
-            for r in insn.use_regs() {
-                live.regs |= bit(r);
-            }
+            live.regs |= insn.use_mask();
         }
         if matches!(insn, Insn::Exit) {
             live.regs |= bit(Reg::R0);
@@ -474,7 +432,9 @@ impl DataflowPass for Liveness {
 /// Forward reaching-definitions pass over register definition sites.
 /// Fact: `Vec<u64>` bitset with one bit per definition site (an
 /// instruction with a `def_reg`); a set bit means that definition may
-/// reach the point uncobbered.
+/// reach the point uncobbered. Diagnostic only: no engine reads it, so
+/// [`ProgramPasses`] leaves it out and `annotate --passes` runs it through
+/// [`solve`] itself.
 ///
 /// A helper call is the definition site of `r0` and additionally kills
 /// every reaching definition of the clobbered `r1`–`r5`.
@@ -580,27 +540,24 @@ impl DataflowPass for ReachingDefs {
 // The bundled per-program pass results
 // ---------------------------------------------------------------------
 
-/// The stabilized results of every built-in pass over one program — the
-/// package the exploration engines and the `annotate --passes` dump
-/// consume. Computed once per analysis, before exploration starts.
+/// The stabilized pass results the exploration engines read — liveness
+/// and dead code — over one program, computed once per analysis before
+/// exploration starts.
 #[derive(Clone, Debug)]
 pub struct ProgramPasses {
     live_in: Vec<LiveSet>,
     live_out: Vec<LiveSet>,
-    reach_counts: Vec<u32>,
     unreachable: Vec<bool>,
     dead_def: Vec<bool>,
     dead_insns: u64,
 }
 
 impl ProgramPasses {
-    /// Runs liveness (with its [`StackTaint`] prerequisite), reaching
-    /// definitions, and dead-code detection over `prog`.
+    /// Runs liveness (with its [`StackTaint`] prerequisite) and
+    /// dead-code detection over `prog`.
     #[must_use]
     pub fn compute(prog: &Program, cfg: &Cfg) -> ProgramPasses {
-        let liveness = Liveness::new(prog, cfg);
-        let live = solve(&liveness, prog, cfg);
-        let reach = solve(&ReachingDefs::new(prog), prog, cfg);
+        let live = solve(&Liveness::new(prog, cfg), prog, cfg);
 
         let mut live_in = live.before;
         let live_out = live.after;
@@ -627,15 +584,9 @@ impl ProgramPasses {
                 }
             }
         }
-        let reach_counts = reach
-            .before
-            .iter()
-            .map(|f| f.iter().map(|w| w.count_ones()).sum())
-            .collect();
         ProgramPasses {
             live_in,
             live_out,
-            reach_counts,
             unreachable,
             dead_def,
             dead_insns,
@@ -654,12 +605,6 @@ impl ProgramPasses {
     #[must_use]
     pub fn live_out(&self, pc: usize) -> LiveSet {
         self.live_out.get(pc).copied().unwrap_or(LiveSet::ALL)
-    }
-
-    /// How many register definitions may reach the point before `pc`.
-    #[must_use]
-    pub fn reaching_defs_in(&self, pc: usize) -> u32 {
-        self.reach_counts.get(pc).copied().unwrap_or(0)
     }
 
     /// Whether `pc` is statically unreachable from the entry.
@@ -806,18 +751,21 @@ mod tests {
 
     #[test]
     fn reaching_defs_count_joined_paths() {
-        let (_, p) = passes(
+        let prog = assemble(
             "r0 = 1\n\
              if r1 > 0 goto other\n\
              r0 = 2\n\
              other:\n\
              exit",
-        );
+        )
+        .expect("assembles");
+        let reach = solve(&ReachingDefs::new(&prog), &prog, &Cfg::build(&prog)).before;
+        let reaching_defs_in = |pc: usize| reach[pc].iter().map(|w| w.count_ones()).sum::<u32>();
         // Before exit both r0 definitions may reach (taken edge keeps
         // pc 0, fall-through replaced it at pc 2).
-        assert_eq!(p.reaching_defs_in(3), 2);
-        assert_eq!(p.reaching_defs_in(2), 1);
-        assert_eq!(p.reaching_defs_in(0), 0, "entry has no sites");
+        assert_eq!(reaching_defs_in(3), 2);
+        assert_eq!(reaching_defs_in(2), 1);
+        assert_eq!(reaching_defs_in(0), 0, "entry has no sites");
     }
 
     #[test]

@@ -160,12 +160,9 @@ impl Transfer {
     fn check_reads(&self, state: &AbsState, insn: Insn, pc: usize) -> Result<(), VerifierError> {
         // Helper calls are checked argument-by-argument against the
         // registry in [`crate::helpers::check_call`], which knows each
-        // helper's arity — `use_regs` would over-approximate with all of
-        // r1–r5.
-        if matches!(insn, Insn::Call { .. }) {
-            return Ok(());
-        }
-        for reg in insn.use_regs() {
+        // helper's arity; `use_regs` names no call operands. The first
+        // unreadable register in `use_regs` order is the one reported.
+        for reg in insn.use_regs().into_iter().flatten() {
             if !state.reg(reg).is_readable() {
                 return Err(VerifierError::UninitRead { reg, pc });
             }

@@ -6,11 +6,17 @@
 //! operator, every interval transfer, the reduced-product sync — against
 //! the concrete BPF semantics, the strongest soundness evidence the test
 //! suite produces.
+//!
+//! The same generators also drive the dataflow solver's equivalence test
+//! against a naive chaotic-iteration reference.
 
 use std::sync::Arc;
 
 use domain::rng::SplitMix64;
 use ebpf::{AluOp, Insn, Program, Reg, Src, Vm, Width};
+use verifier::passes::{
+    solve, DataflowPass, Direction, Liveness, ReachingDefs, Solution, StackTaint,
+};
 use verifier::{
     Analyzer, AnalyzerOptions, Cfg, ProgramPasses, RegValue, Strategy, TransferMemo,
     VerificationSession,
@@ -1071,4 +1077,112 @@ fn liveness_masked_pruning_never_changes_verdicts_or_reports() {
         accepts > 5 && rejects > 5,
         "campaign must exercise both verdicts: {accepts} accepts, {rejects} rejects"
     );
+}
+
+/// A straight-line ALU program rewired with random jumps (forward and
+/// backward), spills of a stack pointer, and reloads through it: an
+/// arbitrary, often irreducible and partly unreachable CFG with live
+/// stack slots, for the dataflow passes rather than the VM.
+fn random_cfg_program(rng: &mut SplitMix64) -> Program {
+    let body = random_alu_program(rng, 16);
+    let mut src = String::from("r9 = r10\n");
+    for (i, insn) in body.insns().iter().enumerate() {
+        let to = rng.below(body.len() as u64);
+        let line = match (i + 1 == body.len(), rng.below(8)) {
+            (false, 0) => format!("goto l{to}"),
+            (false, 1) => format!("if r3 > 0 goto l{to}"),
+            (false, 2) => "*(u64 *)(r10 - 8) = r9".into(),
+            (false, 3) => "r9 = *(u64 *)(r9 - 8)".into(),
+            _ => insn.to_string(),
+        };
+        src += &format!("l{i}:\n{line}\n");
+    }
+    ebpf::asm::assemble(&src).expect("rewired programs assemble")
+}
+
+/// A deliberately naive reference solver: chaotic iteration that
+/// re-evaluates every reachable pc in program order, finding
+/// predecessors by scanning every successor list, until a whole round
+/// changes nothing. `into[pc]` is the fact entering pc's transfer and
+/// `out[pc]` the one leaving it, in the pass's own direction.
+fn naive_solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P::Fact> {
+    let n = prog.len();
+    let reachable: Vec<usize> = (0..n).filter(|&pc| cfg.rpo_pos(pc) != usize::MAX).collect();
+    let forward = P::DIRECTION == Direction::Forward;
+    let (mut into, mut out) = (vec![pass.empty_fact(); n], vec![pass.empty_fact(); n]);
+    loop {
+        let old = (into.clone(), out.clone());
+        for &pc in &reachable {
+            let sources: Vec<usize> = if forward {
+                reachable
+                    .iter()
+                    .copied()
+                    .filter(|&p| cfg.successors(p).contains(&pc))
+                    .collect()
+            } else {
+                cfg.successors(pc).to_vec()
+            };
+            let boundary = if forward { pc == 0 } else { sources.is_empty() };
+            let mut fact = if boundary {
+                pass.boundary_fact()
+            } else {
+                pass.empty_fact()
+            };
+            for &q in &sources {
+                pass.join(&mut fact, &out[q]);
+            }
+            out[pc] = pass.transfer(pc, prog.insns()[pc], &fact);
+            into[pc] = fact;
+        }
+        if old.0 == into && old.1 == out {
+            let (before, after) = if forward { (into, out) } else { (out, into) };
+            return Solution { before, after };
+        }
+    }
+}
+
+fn assert_same<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg, what: &str)
+where
+    P::Fact: std::fmt::Debug,
+{
+    let (fast, slow) = (solve(pass, prog, cfg), naive_solve(pass, prog, cfg));
+    assert_eq!(fast.before, slow.before, "{what}: facts before");
+    assert_eq!(fast.after, slow.after, "{what}: facts after");
+}
+
+fn assert_solvers_agree(prog: &Program, what: &str) {
+    let cfg = Cfg::build(prog);
+    assert_same(&StackTaint, prog, &cfg, what);
+    assert_same(&Liveness::new(prog, &cfg), prog, &cfg, what);
+    assert_same(&ReachingDefs::new(prog), prog, &cfg, what);
+}
+
+#[test]
+fn sweep_solver_matches_naive_chaotic_iteration() {
+    for entry in std::fs::read_dir("fixtures").expect("fixtures directory") {
+        let path = entry.expect("fixture entry").path();
+        let src = std::fs::read_to_string(&path).expect("fixture reads");
+        assert_solvers_agree(
+            &ebpf::asm::assemble(&src).expect("fixture assembles"),
+            &path.display().to_string(),
+        );
+    }
+    let shapes = [
+        // A loop head at pc 0: the entry boundary joins the back edge.
+        "top:\nr1 += 1\nif r1 < 8 goto top\nr0 = r1\nexit",
+        // An irreducible loop entered at `a` and at `b`, spilling a
+        // stack pointer that `b` reloads.
+        "r0 = 0\nr3 = r10\nif r1 > 0 goto b\na:\n*(u64 *)(r10 - 8) = r3\nr0 += 1\n\
+         b:\nr3 = *(u64 *)(r10 - 8)\nr0 += 2\nif r0 < 10 goto a\nexit",
+        // Unreachable code with its own loop and an edge into `end`.
+        "r0 = 0\ngoto end\ndead:\nr0 = 9\nif r0 > 0 goto dead\nend:\nexit",
+    ];
+    for src in shapes {
+        assert_solvers_agree(&ebpf::asm::assemble(src).expect("assembles"), src);
+    }
+    let mut rng = SplitMix64::new(0x5EED);
+    for round in 0..64 {
+        assert_solvers_agree(&pruning_campaign_program(&mut rng, round), "fuzz");
+        assert_solvers_agree(&random_cfg_program(&mut rng), "random CFG");
+    }
 }

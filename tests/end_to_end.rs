@@ -4,7 +4,7 @@
 
 use ebpf::asm::assemble;
 use ebpf::{Reg, Vm};
-use verifier::{Analyzer, AnalyzerOptions, RegValue};
+use verifier::{Analyzer, AnalyzerOptions, RegValue, Strategy, VerificationSession, VerifierError};
 
 /// Checks the fundamental soundness contract of abstract interpretation
 /// on one traced execution: at every step, every register the analyzer
@@ -232,5 +232,36 @@ fn strict_alignment_end_to_end() {
     for byte in 0u8..=255 {
         let mut ctx = [byte, 0, 0, 0];
         Vm::new().run(&prog, &mut ctx).expect("runs");
+    }
+}
+
+#[test]
+fn uninit_read_names_the_first_unreadable_operand() {
+    // `UninitRead` names the first unreadable register in
+    // `Insn::use_regs` order: `dst` before `src`, a store's base before
+    // its source. With both operands uninitialized that is the first;
+    // with only the second, the second — under every strategy.
+    let cases = [
+        ("*(u64 *)(r3 + 0) = r4\nexit", Reg::R3),
+        ("*(u64 *)(r10 - 8) = r4\nexit", Reg::R4),
+        ("r3 += r4\nexit", Reg::R3),
+        ("r3 = 1\nr3 += r4\nexit", Reg::R4),
+        ("if r3 > r4 goto out\nout:\nexit", Reg::R3),
+        ("r3 = 1\nif r3 > r4 goto out\nout:\nexit", Reg::R4),
+    ];
+    for (src, reg) in cases {
+        let prog = assemble(src).expect("assembles");
+        let pc = prog.len() - 2;
+        for strategy in Strategy::ALL {
+            let err = VerificationSession::new()
+                .with_strategy(strategy)
+                .run(&prog)
+                .expect_err("reads an uninitialized register");
+            assert_eq!(
+                err,
+                VerifierError::UninitRead { reg, pc },
+                "{strategy:?}: {src}"
+            );
+        }
     }
 }
