@@ -22,7 +22,6 @@ use std::time::Duration;
 
 use ebpf::{Program, Reg};
 
-use crate::batch::{self, BatchReport};
 use crate::cfg::Cfg;
 use crate::error::VerifierError;
 use crate::explore::{Exploration, ExplorationStrategy, Strategy};
@@ -490,54 +489,6 @@ impl VerificationSession {
             self.explore_with(strategy.implementation(), prog)
         }))
         .unwrap_or_else(|payload| Err(VerifierError::from_panic(payload.as_ref())))
-    }
-
-    /// Verifies a batch of programs concurrently on `jobs` worker
-    /// threads, returning per-program results **in submission order**
-    /// plus a [`BatchStats`](crate::batch::BatchStats) roll-up
-    /// (programs/sec, per-worker distribution, memo traffic).
-    ///
-    /// Every program runs under this session's options and strategy; in
-    /// particular all workers share the session's
-    /// [`AnalyzerOptions::memo_cache`], so scalar transfer results
-    /// computed for one program are reused by the others. Parallelism is
-    /// program-granular (abstract states are `Rc`-backed and never cross
-    /// threads); workers claim programs from a shared queue, so a worker
-    /// that drew cheap programs steals the remaining ones. `jobs == 0`
-    /// selects [`domain::parallel::default_threads`] (which honors the
-    /// `TNUM_THREADS` environment variable).
-    ///
-    /// Per-program heterogeneity (different options or strategies per
-    /// program) goes through [`batch::run`](crate::batch::run) directly.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ebpf::asm::assemble;
-    /// use verifier::VerificationSession;
-    ///
-    /// let progs = vec![
-    ///     assemble("r0 = 1\nexit")?,
-    ///     assemble("r0 = 2\nexit")?,
-    /// ];
-    /// let report = VerificationSession::new().run_batch(&progs, 2);
-    /// assert_eq!(report.results.len(), 2);
-    /// assert!(report.results.iter().all(|r| r.is_ok()));
-    /// assert_eq!(report.stats.accepted, 2);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    #[must_use]
-    pub fn run_batch(&self, progs: &[Program], jobs: usize) -> BatchReport {
-        let items: Vec<batch::BatchItem> = progs
-            .iter()
-            .map(|prog| batch::BatchItem {
-                prog: prog.clone(),
-                options: self.options.clone(),
-                strategy: self.strategy,
-                degradation: self.degradation,
-            })
-            .collect();
-        batch::run(&items, jobs)
     }
 
     /// Explores the program with a caller-supplied

@@ -15,12 +15,15 @@
 //!   cheap acyclic programs immediately steals the remaining loopy
 //!   ones. Analysis costs within one batch differ by orders of
 //!   magnitude, which is exactly when static chunking idles.
-//! * **Cross-program memoization.** All items can share one
-//!   [`TransferMemo`](crate::memo::TransferMemo) (the default when
-//!   batching through
-//!   [`VerificationSession::run_batch`]): pure scalar transfer results
-//!   computed while verifying one program are reused by every other,
-//!   with full operand equality checked before each reuse.
+//! * **Cross-program memoization.** All programs share the session's
+//!   [`TransferMemo`](crate::memo::TransferMemo) (on by default): pure
+//!   scalar transfer results computed while verifying one program are
+//!   reused by every other, with full operand equality checked before
+//!   each reuse.
+//!
+//! The entry point is [`VerificationSession::run_batch`], which runs
+//! every program under one session's options, strategy, and
+//! degradation policy.
 //!
 //! Results come back **in submission order** as real
 //! [`Analysis`] values: each worker flattens its per-instruction states
@@ -32,32 +35,13 @@ use std::time::{Duration, Instant};
 use domain::parallel::{default_threads, par_workers, WorkQueue};
 use ebpf::Program;
 
-use crate::analyzer::{Analysis, AnalyzerOptions, DegradationPolicy, VerificationSession};
+use crate::analyzer::{Analysis, VerificationSession};
 use crate::error::VerifierError;
 use crate::explore::Strategy;
-use crate::fixpoint::{self, AnalysisStats};
-use crate::memo;
+use crate::fixpoint::AnalysisStats;
+use crate::ledger;
 use crate::state::{AbsState, SparseStack, REGS};
 use crate::value::RegValue;
-
-/// One unit of batch work: a program with its own options and strategy.
-/// Heterogeneous batches (per-program configuration) are first-class;
-/// [`VerificationSession::run_batch`] builds homogeneous ones sharing
-/// the session's options — including its memo cache `Arc`.
-#[derive(Clone, Debug)]
-pub struct BatchItem {
-    /// The program to verify.
-    pub prog: Program,
-    /// The analysis options for this program. Items whose options hold
-    /// the same `memo_cache` `Arc` share cached transfer results.
-    pub options: AnalyzerOptions,
-    /// The exploration strategy for this program.
-    pub strategy: Strategy,
-    /// What the worker's session does when a governance fault (a
-    /// contained panic or a blown deadline) hits this program: walk the
-    /// degradation ladder (the default) or fail fast.
-    pub degradation: DegradationPolicy,
-}
 
 /// The roll-up of one batch run: throughput, verdict counts, how the
 /// work spread across workers, and the memo-cache traffic.
@@ -72,11 +56,11 @@ pub struct BatchStats {
     /// Worker threads the pool actually ran (the *outer*,
     /// program-granular level).
     pub jobs: usize,
-    /// Intra-program explorer threads granted to each
-    /// [`Strategy::PathParallel`] item that left
-    /// [`AnalyzerOptions::explore_jobs`] at `0`: the batch thread
-    /// budget divided by the outer worker count, so outer × inner never
-    /// oversubscribes it. `1` when the batch has no such items or the
+    /// Intra-program explorer threads granted to a
+    /// [`Strategy::PathParallel`] session that left
+    /// [`AnalyzerOptions::explore_jobs`](crate::AnalyzerOptions::explore_jobs)
+    /// at `0`: the batch thread budget divided by the outer worker
+    /// count, so outer × inner never oversubscribes it. `1` when the
     /// budget is spent on the outer level.
     pub inner_jobs: usize,
     /// Wall-clock time from first claim to scope join.
@@ -89,7 +73,8 @@ pub struct BatchStats {
     /// rejection burned is real batch load and is not dropped from the
     /// roll-up.
     pub per_worker_visits: Vec<u64>,
-    /// Memo-cache hits across all workers (accepted and rejected runs).
+    /// Memo-cache hits across all workers: accepted and rejected runs,
+    /// and every strategy a degraded program tried.
     pub memo_hits: u64,
     /// Memo-cache misses across all workers.
     pub memo_misses: u64,
@@ -97,7 +82,7 @@ pub struct BatchStats {
     pub memo_evicted: u64,
     /// Programs whose final verdict was
     /// [`VerifierError::DeadlineExceeded`] — the wall-clock governance
-    /// rejections ([`AnalyzerOptions::deadline`]).
+    /// rejections ([`AnalyzerOptions::deadline`](crate::AnalyzerOptions::deadline)).
     pub deadline_exceeded: usize,
     /// Programs whose final verdict was
     /// [`VerifierError::InternalFault`] — per-program contained panics
@@ -187,124 +172,142 @@ impl SendAnalysis {
     }
 }
 
-/// What one worker brings back across the scope join.
+/// What one worker brings back across the scope join: its verdicts
+/// and everything its programs counted, read off its ledger.
 struct WorkerOutput {
     results: Vec<(usize, Result<SendAnalysis, VerifierError>)>,
-    visits: u64,
-    memo: (u64, u64, u64),
+    counted: AnalysisStats,
 }
 
-/// Verifies every item concurrently on `jobs` workers (0 =
-/// [`default_threads`], which honors `TNUM_THREADS`), returning
-/// per-program results in submission order.
-///
-/// This is the heterogeneous entry point;
-/// [`VerificationSession::run_batch`] is the common homogeneous wrapper.
-#[must_use]
-pub fn run(items: &[BatchItem], jobs: usize) -> BatchReport {
-    let jobs = if jobs == 0 { default_threads() } else { jobs };
-    let workers = jobs.min(items.len()).max(1);
-    // One thread budget, two levels: `workers` outer threads verify
-    // whole programs, and every `PathParallel` item that left
-    // `explore_jobs` at 0 (= auto) gets the leftover budget as its
-    // intra-program worker count, so `outer × inner ≤ jobs` (plus the
-    // coordinator, which only blocks).
-    let inner_jobs = (jobs / workers).max(1);
-    let queue = WorkQueue::new(items.len());
-    let start = Instant::now();
-    let per_worker = par_workers(workers, |_worker| {
-        let mut results = Vec::new();
-        let mut visits: u64 = 0;
-        let mut memo = (0u64, 0u64, 0u64);
-        while let Some(i) = queue.claim() {
-            let item = &items[i];
-            let mut options = item.options.clone();
-            if item.strategy == Strategy::PathParallel && options.explore_jobs == 0 {
-                options.explore_jobs = inner_jobs as u32;
+impl VerificationSession {
+    /// Verifies a batch of programs concurrently on `jobs` worker
+    /// threads (0 = [`default_threads`], which honors the
+    /// `TNUM_THREADS` environment variable), returning per-program
+    /// results **in submission order** plus a [`BatchStats`] roll-up
+    /// (programs/sec, per-worker distribution, memo traffic).
+    ///
+    /// Every program runs under this session's options, strategy, and
+    /// degradation policy; in particular all workers share the
+    /// session's [`AnalyzerOptions::memo_cache`](crate::AnalyzerOptions::memo_cache),
+    /// so scalar transfer results computed for one program are reused
+    /// by the others. Parallelism is program-granular (abstract states
+    /// are `Rc`-backed and never cross threads); workers claim programs
+    /// from a shared queue, so a worker that drew cheap programs steals
+    /// the remaining ones.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ebpf::asm::assemble;
+    /// use verifier::VerificationSession;
+    ///
+    /// let progs = vec![
+    ///     assemble("r0 = 1\nexit")?,
+    ///     assemble("r0 = 2\nexit")?,
+    /// ];
+    /// let report = VerificationSession::new().run_batch(&progs, 2);
+    /// assert_eq!(report.results.len(), 2);
+    /// assert!(report.results.iter().all(|r| r.is_ok()));
+    /// assert_eq!(report.stats.accepted, 2);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    #[must_use]
+    pub fn run_batch(&self, progs: &[Program], jobs: usize) -> BatchReport {
+        let jobs = if jobs == 0 { default_threads() } else { jobs };
+        let workers = jobs.min(progs.len()).max(1);
+        // One thread budget, two levels: `workers` outer threads verify
+        // whole programs, and a `PathParallel` session that left
+        // `explore_jobs` at 0 (= auto) gets the leftover budget as its
+        // intra-program worker count, so `outer × inner ≤ jobs` (plus
+        // the coordinator, which only blocks).
+        let inner_jobs = (jobs / workers).max(1);
+        let mut options = self.options();
+        if self.strategy() == Strategy::PathParallel && options.explore_jobs == 0 {
+            options.explore_jobs = inner_jobs as u32;
+        }
+        let session = self.clone().with_options(options);
+        let queue = WorkQueue::new(progs.len());
+        let start = Instant::now();
+        let per_worker = par_workers(workers, |_worker| {
+            let counting = ledger::snapshot();
+            let mut results = Vec::new();
+            while let Some(i) = queue.claim() {
+                // Belt over the session's own containment: a panic
+                // anywhere in this program's run (including the
+                // dense-state capture below) costs only this slot,
+                // never the batch.
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    session.run(&progs[i]).map(|a| SendAnalysis::capture(&a))
+                }))
+                .unwrap_or_else(|payload| Err(VerifierError::from_panic(payload.as_ref())));
+                results.push((i, res));
             }
-            let session = VerificationSession::new()
-                .with_options(options)
-                .with_strategy(item.strategy)
-                .with_degradation(item.degradation);
-            memo::counters::reset();
-            fixpoint::ledger::reset();
-            // Belt over the session's own containment: a panic anywhere
-            // in this program's run (including the dense-state capture
-            // below) costs only this slot, never the batch.
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.run(&item.prog).map(|a| SendAnalysis::capture(&a))
-            }))
-            .unwrap_or_else(|payload| Err(VerifierError::from_panic(payload.as_ref())));
-            // The thread-local memo counters and visit ledger now hold
-            // exactly this program's traffic — harvested here so
-            // rejected runs (which produce no `AnalysisStats`) still
-            // contribute the partial work they burned.
-            visits += fixpoint::ledger::snapshot();
-            let (h, m, e) = memo::counters::snapshot();
-            memo = (memo.0 + h, memo.1 + m, memo.2 + e);
-            results.push((i, res));
-        }
-        WorkerOutput {
-            results,
-            visits,
-            memo,
-        }
-    });
-    let elapsed = start.elapsed();
+            // The ledger delta holds everything this worker's programs
+            // burned: rejected runs' partial walks, every rung a
+            // degraded program climbed, and the parallel explorer's
+            // worker threads (credited back to this one).
+            WorkerOutput {
+                results,
+                counted: ledger::since(counting),
+            }
+        });
+        let elapsed = start.elapsed();
 
-    let mut slots: Vec<Option<Result<Analysis, VerifierError>>> =
-        std::iter::repeat_with(|| None).take(items.len()).collect();
-    let mut per_worker_programs = Vec::with_capacity(workers);
-    let mut per_worker_visits = Vec::with_capacity(workers);
-    let (mut memo_hits, mut memo_misses, mut memo_evicted) = (0, 0, 0);
-    for w in per_worker {
-        per_worker_programs.push(w.results.len());
-        per_worker_visits.push(w.visits);
-        memo_hits += w.memo.0;
-        memo_misses += w.memo.1;
-        memo_evicted += w.memo.2;
-        for (i, res) in w.results {
-            slots[i] = Some(res.map(SendAnalysis::rebuild));
+        let mut slots: Vec<Option<Result<Analysis, VerifierError>>> =
+            std::iter::repeat_with(|| None).take(progs.len()).collect();
+        let mut per_worker_programs = Vec::with_capacity(workers);
+        let mut per_worker_visits = Vec::with_capacity(workers);
+        let (mut memo_hits, mut memo_misses, mut memo_evicted) = (0, 0, 0);
+        for w in per_worker {
+            per_worker_programs.push(w.results.len());
+            per_worker_visits.push(w.counted.visits);
+            memo_hits += w.counted.memo_hits;
+            memo_misses += w.counted.memo_misses;
+            memo_evicted += w.counted.memo_evicted;
+            for (i, res) in w.results {
+                slots[i] = Some(res.map(SendAnalysis::rebuild));
+            }
         }
-    }
-    let results: Vec<Result<Analysis, VerifierError>> = slots
-        .into_iter()
-        .map(|r| r.expect("the queue hands every index to exactly one worker"))
-        .collect();
-    let accepted = results.iter().filter(|r| r.is_ok()).count();
-    let (mut deadline_exceeded, mut internal_faults, mut degradations) = (0usize, 0usize, 0u64);
-    for res in &results {
-        match res {
-            Ok(a) => degradations += a.stats().degradations,
-            Err(VerifierError::DeadlineExceeded { .. }) => deadline_exceeded += 1,
-            Err(VerifierError::InternalFault { .. }) => internal_faults += 1,
-            Err(_) => {}
+        let results: Vec<Result<Analysis, VerifierError>> = slots
+            .into_iter()
+            .map(|r| r.expect("the queue hands every index to exactly one worker"))
+            .collect();
+        let accepted = results.iter().filter(|r| r.is_ok()).count();
+        let (mut deadline_exceeded, mut internal_faults, mut degradations) = (0usize, 0usize, 0u64);
+        for res in &results {
+            match res {
+                Ok(a) => degradations += a.stats().degradations,
+                Err(VerifierError::DeadlineExceeded { .. }) => deadline_exceeded += 1,
+                Err(VerifierError::InternalFault { .. }) => internal_faults += 1,
+                Err(_) => {}
+            }
         }
-    }
-    BatchReport {
-        stats: BatchStats {
-            programs: items.len(),
-            accepted,
-            rejected: results.len() - accepted,
-            jobs: workers,
-            inner_jobs,
-            elapsed,
-            per_worker_programs,
-            per_worker_visits,
-            memo_hits,
-            memo_misses,
-            memo_evicted,
-            deadline_exceeded,
-            internal_faults,
-            degradations,
-        },
-        results,
+        BatchReport {
+            stats: BatchStats {
+                programs: progs.len(),
+                accepted,
+                rejected: results.len() - accepted,
+                jobs: workers,
+                inner_jobs,
+                elapsed,
+                per_worker_programs,
+                per_worker_visits,
+                memo_hits,
+                memo_misses,
+                memo_evicted,
+                deadline_exceeded,
+                internal_faults,
+                degradations,
+            },
+            results,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AnalyzerOptions;
     use ebpf::asm::assemble;
     use ebpf::Reg;
 
@@ -493,17 +496,14 @@ mod tests {
             let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
             assert_eq!(p.annotate(&batch[i]), s.annotate(&batch[i]));
         }
-        // An explicit per-item explore_jobs is never overridden.
-        let items = vec![BatchItem {
-            prog: batch[0].clone(),
-            options: AnalyzerOptions {
+        // An explicit session explore_jobs is never overridden.
+        let report = VerificationSession::new()
+            .with_options(AnalyzerOptions {
                 explore_jobs: 1,
                 ..AnalyzerOptions::default()
-            },
-            strategy: Strategy::PathParallel,
-            degradation: DegradationPolicy::default(),
-        }];
-        let report = run(&items, 8);
+            })
+            .with_strategy(Strategy::PathParallel)
+            .run_batch(&batch[..1], 8);
         assert!(report.results[0].is_ok());
         assert_eq!(report.results[0].as_ref().unwrap().stats().steals, 0);
     }
@@ -526,29 +526,21 @@ mod tests {
 
     #[test]
     fn heterogeneous_items_run_their_own_configuration() {
-        let loopy = assemble("l:\nr0 = 0\ngoto l\nexit").unwrap();
-        let items = vec![
-            BatchItem {
-                prog: loopy.clone(),
-                options: AnalyzerOptions::default(),
-                strategy: Strategy::WideningFixpoint,
-                degradation: DegradationPolicy::default(),
-            },
-            BatchItem {
-                prog: loopy,
-                options: AnalyzerOptions {
-                    reject_loops: true,
-                    ..AnalyzerOptions::default()
-                },
-                strategy: Strategy::WideningFixpoint,
-                degradation: DegradationPolicy::default(),
-            },
-        ];
-        let report = run(&items, 2);
+        let loopy = [assemble("l:\nr0 = 0\ngoto l\nexit").unwrap()];
+        let report = VerificationSession::new()
+            .with_strategy(Strategy::WideningFixpoint)
+            .run_batch(&loopy, 2);
         assert!(report.results[0].is_ok(), "fixpoint accepts the loop");
+        let report = VerificationSession::new()
+            .with_options(AnalyzerOptions {
+                reject_loops: true,
+                ..AnalyzerOptions::default()
+            })
+            .with_strategy(Strategy::WideningFixpoint)
+            .run_batch(&loopy, 2);
         assert!(
-            matches!(report.results[1], Err(VerifierError::LoopDetected { .. })),
-            "reject_loops item keeps its own policy"
+            matches!(report.results[0], Err(VerifierError::LoopDetected { .. })),
+            "a reject_loops session keeps its own policy"
         );
     }
 }

@@ -42,7 +42,8 @@ use crate::analyzer::AnalyzerOptions;
 use crate::cfg::Cfg;
 use crate::error::VerifierError;
 use crate::fixpoint::{self, AnalysisStats};
-use crate::state::{stats, AbsState, JoinCounters, WidenCtx};
+use crate::ledger;
+use crate::state::{AbsState, JoinCounters, WidenCtx};
 use crate::transfer::Transfer;
 use crate::visited::VisitedTable;
 
@@ -207,8 +208,7 @@ impl ExplorationStrategy for PathSensitive {
     ) -> Result<Exploration, VerifierError> {
         let cfg = Cfg::build(prog);
         let transfer = Transfer::new(options.clone());
-        stats::reset();
-        crate::memo::counters::reset();
+        let start = ledger::snapshot();
         let thresholds = fixpoint::harvest_thresholds(prog, &cfg, options);
 
         // Per-head trip counters and widening summaries, by the CFG's
@@ -223,14 +223,12 @@ impl ExplorationStrategy for PathSensitive {
         let passes = options
             .liveness_pruning
             .then(|| crate::passes::ProgramPasses::compute(prog, &cfg));
-        let mut dead_components_cleared: u64 = 0;
 
         let mut visited = VisitedTable::with_cap(prog.len(), options.visited_cap as usize);
         let mut report: Vec<Option<AbsState>> = vec![None; prog.len()];
         let mut summaries: Vec<Option<AbsState>> = vec![None; head_rpo.len()];
         let mut counters: Vec<JoinCounters> =
             head_rpo.iter().map(|_| JoinCounters::new()).collect();
-        let mut unrolled_trips: u64 = 0;
 
         // The DFS worklist: `(pc, in-state, per-head trip counts)`.
         // Pushing a fork clones the state (two refcount bumps) and the
@@ -242,18 +240,15 @@ impl ExplorationStrategy for PathSensitive {
             AbsState::entry(),
             std::rc::Rc::new(vec![0; head_rpo.len()]),
         )];
-        let start = std::time::Instant::now();
-        let mut visits: u64 = 0;
+        let began = std::time::Instant::now();
         while let Some((pc, mut state, mut trips)) = stack.pop() {
-            visits += 1;
-            crate::fixpoint::ledger::bump();
-            if visits > options.analysis_budget {
+            if ledger::add(1, |t| &t.visits) - start.visits > options.analysis_budget {
                 return Err(VerifierError::AnalysisBudgetExhausted {
                     pc,
                     budget: options.analysis_budget,
                 });
             }
-            crate::analyzer::check_deadline(start, options, pc)?;
+            crate::analyzer::check_deadline(began, options, pc)?;
             crate::failpoint::fire(crate::failpoint::FaultSite::PathVisit);
             let h = cfg.head_index(pc);
             // Checkpoints — where paths can re-converge, so where pruning
@@ -262,7 +257,7 @@ impl ExplorationStrategy for PathSensitive {
             if checkpoint {
                 if let Some(p) = &passes {
                     let mask = p.live_in(pc);
-                    dead_components_cleared += u64::from(state.clear_dead(mask.regs, mask.slots));
+                    state.clear_dead(mask.regs, mask.slots);
                 }
             }
             if h != usize::MAX {
@@ -293,7 +288,7 @@ impl ExplorationStrategy for PathSensitive {
                 }
                 if take_trip {
                     // Unrolled trip: keep the path state exact.
-                    unrolled_trips += 1;
+                    ledger::add(1, |t| &t.unrolled_trips);
                 } else {
                     // Past the unroll bound: widen into the head's
                     // summary and continue from it. The trip counter
@@ -321,7 +316,7 @@ impl ExplorationStrategy for PathSensitive {
                             // even if cap eviction dropped the recorded
                             // summary from the chain.
                             if !grew {
-                                visited.note_summary_prune();
+                                crate::visited::note_summary_prune();
                                 continue;
                             }
                             state = summary.clone();
@@ -353,34 +348,13 @@ impl ExplorationStrategy for PathSensitive {
             }
         }
 
-        let traffic = stats::snapshot();
-        let (memo_hits, memo_misses, memo_evicted) = crate::memo::counters::snapshot();
         Ok(Exploration {
             states: report,
             stats: AnalysisStats {
-                states_allocated: traffic.allocated,
-                states_shared: traffic.shared,
-                joins_short_circuited: traffic.short_circuited,
-                widenings_applied: traffic.widenings,
-                visits,
-                states_pruned: visited.states_pruned(),
-                subset_checks: visited.subset_checks(),
-                unrolled_trips,
-                fingerprint_rejects: visited.fingerprint_rejects(),
-                visited_evicted: visited.visited_evicted(),
-                bytes_materialized: traffic.bytes,
-                memo_hits,
-                memo_misses,
-                memo_evicted,
-                live_masked_prunes: visited.masked_prunes(),
-                dead_components_cleared,
                 dead_insns: passes
                     .as_ref()
                     .map_or(0, crate::passes::ProgramPasses::dead_insns),
-                subtrees_spawned: 0,
-                steals: 0,
-                shared_prunes: 0,
-                degradations: 0,
+                ..ledger::since(start)
             },
         })
     }

@@ -1,6 +1,7 @@
 //! The fixpoint layer: the reverse-postorder priority worklist, the
 //! per-register delayed-widening/narrowing schedule, the visit budget,
-//! and the [`AnalysisStats`] accounting of copy-on-write state traffic.
+//! and the [`AnalysisStats`] every strategy reports (read from the
+//! thread-local counter ledger as the delta over one run).
 //!
 //! The engine knows nothing about instruction semantics — it asks
 //! [`crate::transfer::Transfer`] for successor contributions and owns
@@ -21,50 +22,21 @@ use interval_domain::WidenThresholds;
 use crate::analyzer::AnalyzerOptions;
 use crate::cfg::Cfg;
 use crate::error::VerifierError;
-use crate::state::{stats, AbsState, JoinCounters, WidenCtx};
+use crate::ledger;
+use crate::state::{AbsState, JoinCounters, WidenCtx};
 use crate::transfer::Transfer;
-
-/// Thread-local visit ledger: every strategy bumps it once per
-/// instruction visit (the parallel explorer credits its shared atomic
-/// back on the coordinator thread), and [`crate::batch::run`] resets
-/// and harvests it around each program so a *rejected* run's partial
-/// walk still lands in `BatchStats::per_worker_visits` — an
-/// error return discards the strategy's local counters, and before
-/// this ledger existed that burned work silently vanished from the
-/// batch roll-up.
-pub(crate) mod ledger {
-    use std::cell::Cell;
-
-    thread_local! {
-        static VISITS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Counts one instruction visit on this thread.
-    pub(crate) fn bump() {
-        VISITS.with(|v| v.set(v.get() + 1));
-    }
-
-    /// Credits `n` visits performed elsewhere (parallel explorer jobs)
-    /// to this thread's ledger.
-    pub(crate) fn credit(n: u64) {
-        VISITS.with(|v| v.set(v.get() + n));
-    }
-
-    /// Zeroes the ledger (start of one batch item).
-    pub(crate) fn reset() {
-        VISITS.with(|v| v.set(0));
-    }
-
-    /// Reads the ledger (end of one batch item, `Ok` or `Err`).
-    pub(crate) fn snapshot() -> u64 {
-        VISITS.with(Cell::get)
-    }
-}
 
 /// Counters describing one analysis run — the observable effect of the
 /// copy-on-write state layer and (under the path-sensitive strategy) of
 /// kernel-style visited-state pruning, emitted by the fixpoint bench
 /// (`BENCH_PR5.json`) and guarded by CI against regression.
+///
+/// Every field except `dead_insns`, `subtrees_spawned`, `steals` and
+/// `degradations` is kept in the thread-local counter ledger, which
+/// never resets: an engine reports the difference between the ledger at
+/// the run's start and at its end, so runs on one thread never disturb
+/// each other. The four owner-set fields come from the pass framework,
+/// the parallel explorer and the session.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Deep copies of a register file or stack frame actually performed
@@ -263,8 +235,7 @@ pub fn run(
     cfg: &Cfg,
     options: &AnalyzerOptions,
 ) -> Result<(Vec<Option<AbsState>>, AnalysisStats), VerifierError> {
-    stats::reset();
-    crate::memo::counters::reset();
+    let start = ledger::snapshot();
     let thresholds = harvest_thresholds(prog, cfg, options);
 
     // The pass framework feeds checkpoint cleaning: states flowing into
@@ -276,13 +247,12 @@ pub fn run(
     let passes = options
         .liveness_pruning
         .then(|| crate::passes::ProgramPasses::compute(prog, cfg));
-    let mut dead_components_cleared: u64 = 0;
 
     let mut entry = AbsState::entry();
     if let Some(p) = &passes {
         if cfg.is_checkpoint(0) {
             let mask = p.live_in(0);
-            dead_components_cleared += u64::from(entry.clear_dead(mask.regs, mask.slots));
+            entry.clear_dead(mask.regs, mask.slots);
         }
     }
     let mut states: Vec<Option<AbsState>> = vec![None; prog.len()];
@@ -299,19 +269,16 @@ pub fn run(
     queue.push(Reverse((cfg.rpo_pos(0), 0)));
     queued[0] = true;
 
-    let start = std::time::Instant::now();
-    let mut visits: u64 = 0;
+    let began = std::time::Instant::now();
     while let Some(Reverse((_, pc))) = queue.pop() {
         queued[pc] = false;
-        visits += 1;
-        ledger::bump();
-        if visits > options.analysis_budget {
+        if ledger::add(1, |t| &t.visits) - start.visits > options.analysis_budget {
             return Err(VerifierError::AnalysisBudgetExhausted {
                 pc,
                 budget: options.analysis_budget,
             });
         }
-        crate::analyzer::check_deadline(start, options, pc)?;
+        crate::analyzer::check_deadline(began, options, pc)?;
         crate::failpoint::fire(crate::failpoint::FaultSite::FixpointVisit);
         let state = states[pc]
             .clone()
@@ -320,7 +287,7 @@ pub fn run(
             if let Some(p) = &passes {
                 if cfg.is_checkpoint(succ) {
                     let mask = p.live_in(succ);
-                    dead_components_cleared += u64::from(out.clear_dead(mask.regs, mask.slots));
+                    out.clear_dead(mask.regs, mask.slots);
                 }
             }
             let changed = match &mut states[succ] {
@@ -354,47 +321,16 @@ pub fn run(
     let states = if cfg.back_edges().is_empty() {
         states
     } else {
-        narrow(
-            transfer,
-            prog,
-            cfg,
-            &states,
-            passes.as_ref(),
-            &mut dead_components_cleared,
-        )?
+        narrow(transfer, prog, cfg, &states, passes.as_ref())?
     };
 
-    let traffic = stats::snapshot();
-    let (memo_hits, memo_misses, memo_evicted) = crate::memo::counters::snapshot();
     Ok((
         states,
         AnalysisStats {
-            states_allocated: traffic.allocated,
-            states_shared: traffic.shared,
-            joins_short_circuited: traffic.short_circuited,
-            widenings_applied: traffic.widenings,
-            visits,
-            // The fixpoint joins instead of pruning and never unrolls;
-            // the pruning-table counters belong to the path-sensitive
-            // strategy.
-            states_pruned: 0,
-            subset_checks: 0,
-            unrolled_trips: 0,
-            fingerprint_rejects: 0,
-            visited_evicted: 0,
-            bytes_materialized: traffic.bytes,
-            memo_hits,
-            memo_misses,
-            memo_evicted,
-            live_masked_prunes: 0,
-            dead_components_cleared,
             dead_insns: passes
                 .as_ref()
                 .map_or(0, super::passes::ProgramPasses::dead_insns),
-            subtrees_spawned: 0,
-            steals: 0,
-            shared_prunes: 0,
-            degradations: 0,
+            ..ledger::since(start)
         },
     ))
 }
@@ -410,14 +346,13 @@ fn narrow(
     cfg: &Cfg,
     states: &[Option<AbsState>],
     passes: Option<&crate::passes::ProgramPasses>,
-    dead_components_cleared: &mut u64,
 ) -> Result<Vec<Option<AbsState>>, VerifierError> {
     let mut narrowed: Vec<Option<AbsState>> = vec![None; prog.len()];
     let mut entry = AbsState::entry();
     if let Some(p) = passes {
         if cfg.is_checkpoint(0) {
             let mask = p.live_in(0);
-            *dead_components_cleared += u64::from(entry.clear_dead(mask.regs, mask.slots));
+            entry.clear_dead(mask.regs, mask.slots);
         }
     }
     narrowed[0] = Some(entry);
@@ -432,7 +367,7 @@ fn narrow(
             if let Some(p) = passes {
                 if cfg.is_checkpoint(succ) {
                     let mask = p.live_in(succ);
-                    *dead_components_cleared += u64::from(out.clear_dead(mask.regs, mask.slots));
+                    out.clear_dead(mask.regs, mask.slots);
                 }
             }
             match &mut narrowed[succ] {

@@ -57,7 +57,11 @@
 //! exploration (many live states) and its subset-based pruning
 //! affordable — and [`AnalysisStats`] (on every [`Analysis`]) counts
 //! the saved allocations, the copied bytes, and the pruning ledger
-//! (probes, fingerprint rejects, evictions). Every memory access is
+//! (probes, fingerprint rejects, evictions) — every layer counts into
+//! one thread-local, never-reset counter ledger, and each run reports
+//! its difference. [`VerificationSession::run_batch`] ([`batch`])
+//! verifies many programs concurrently under one session, and its
+//! [`BatchStats`] reads that same ledger. Every memory access is
 //! checked against its region — including tnum-based alignment
 //! (`tnum_is_aligned`) under [`AnalyzerOptions::strict_alignment`] —
 //! and the classic all-loops rejection survives under
@@ -135,6 +139,7 @@ pub mod explore;
 pub mod failpoint;
 pub mod fixpoint;
 pub mod helpers;
+mod ledger;
 pub mod memo;
 pub mod parshard;
 pub mod passes;
@@ -146,7 +151,7 @@ mod value;
 pub mod visited;
 
 pub use analyzer::{Analysis, Analyzer, AnalyzerOptions, DegradationPolicy, VerificationSession};
-pub use batch::{BatchItem, BatchReport, BatchStats};
+pub use batch::{BatchReport, BatchStats};
 pub use branch::refine as refine_branch;
 pub use branch::refine32 as refine_branch32;
 pub use cfg::Cfg;

@@ -37,9 +37,9 @@
 //! and each shard evicts oldest-first past its cap — the same bounded
 //! "LRU-ish" hygiene as the visited table's chain cap.
 //!
-//! Per-run traffic is counted in thread-local [`counters`] the
-//! exploration engines snapshot into
-//! [`AnalysisStats`](crate::AnalysisStats)
+//! Per-run traffic is counted in the thread-local counter ledger the
+//! exploration engines read their
+//! [`AnalysisStats`](crate::AnalysisStats) from
 //! (`memo_hits` / `memo_misses` / `memo_evicted`).
 
 use std::collections::{HashMap, VecDeque};
@@ -48,6 +48,7 @@ use std::sync::Mutex;
 use domain::parallel::lock_recover;
 use ebpf::{AluOp, JmpOp, Width};
 
+use crate::ledger;
 use crate::scalar::Scalar;
 use crate::state::mix;
 
@@ -58,56 +59,6 @@ pub const SHARDS: usize = 16;
 
 /// Default per-shard entry cap (≈ 16 K entries across the cache).
 const DEFAULT_SHARD_CAP: usize = 1024;
-
-/// Thread-local memo traffic counters, reset per analysis run and
-/// snapshotted into `AnalysisStats` — same pattern as
-/// [`crate::state::stats`].
-pub(crate) mod counters {
-    use std::cell::Cell;
-
-    thread_local! {
-        static HITS: Cell<u64> = const { Cell::new(0) };
-        static MISSES: Cell<u64> = const { Cell::new(0) };
-        static EVICTED: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(crate) fn bump_hit() {
-        HITS.with(|v| v.set(v.get() + 1));
-    }
-
-    pub(crate) fn bump_miss() {
-        MISSES.with(|v| v.set(v.get() + 1));
-    }
-
-    pub(crate) fn bump_evicted() {
-        EVICTED.with(|v| v.set(v.get() + 1));
-    }
-
-    /// Adds externally-accumulated traffic to this thread's counters —
-    /// how the parallel explorer folds its worker threads' totals back
-    /// onto the coordinator before outer aggregators snapshot it.
-    pub(crate) fn credit(hits: u64, misses: u64, evicted: u64) {
-        HITS.with(|v| v.set(v.get() + hits));
-        MISSES.with(|v| v.set(v.get() + misses));
-        EVICTED.with(|v| v.set(v.get() + evicted));
-    }
-
-    /// Zeroes the counters (start of an analysis run).
-    pub(crate) fn reset() {
-        for c in [&HITS, &MISSES, &EVICTED] {
-            c.with(|v| v.set(0));
-        }
-    }
-
-    /// `(hits, misses, evicted)` accumulated since the last [`reset`].
-    pub(crate) fn snapshot() -> (u64, u64, u64) {
-        (
-            HITS.with(Cell::get),
-            MISSES.with(Cell::get),
-            EVICTED.with(Cell::get),
-        )
-    }
-}
 
 /// A memo cache key: the packed instruction word plus the mixed operand
 /// fingerprints.
@@ -251,7 +202,7 @@ impl TransferMemo {
     /// Looks up `key`, returning the cached effect only when the stored
     /// operands are *exactly equal* to `(lhs, rhs)` — a fingerprint
     /// collision therefore reads as a miss, never as a wrong result.
-    /// Counts a hit or miss in the calling thread's [`counters`].
+    /// Counts a hit or miss in the calling thread's counter ledger.
     #[must_use]
     pub fn lookup(&self, key: MemoKey, lhs: Scalar, rhs: Scalar) -> Option<MemoEffect> {
         // Poison recovery, not unwrap: a worker that panicked (and was
@@ -261,11 +212,11 @@ impl TransferMemo {
         let shard = lock_recover(&self.shards[key.shard()]);
         match shard.map.get(&key) {
             Some(entry) if entry.lhs == lhs && entry.rhs == rhs => {
-                counters::bump_hit();
+                ledger::add(1, |t| &t.memo_hits);
                 Some(entry.effect)
             }
             _ => {
-                counters::bump_miss();
+                ledger::add(1, |t| &t.memo_misses);
                 None
             }
         }
@@ -294,7 +245,7 @@ impl TransferMemo {
                 break;
             };
             if shard.map.remove(&oldest).is_some() {
-                counters::bump_evicted();
+                ledger::add(1, |t| &t.memo_evicted);
             }
         }
     }
@@ -322,14 +273,14 @@ mod tests {
 
     #[test]
     fn round_trips_an_alu_entry() {
-        counters::reset();
+        let start = ledger::snapshot();
         let memo = TransferMemo::new();
         let key = MemoKey::alu(Width::W64, AluOp::Add, 11, 22);
         assert_eq!(memo.lookup(key, s(1), s(2)), None);
         memo.insert(key, s(1), s(2), MemoEffect::Alu(s(3)));
         assert_eq!(memo.lookup(key, s(1), s(2)), Some(MemoEffect::Alu(s(3))));
-        let (hits, misses, _) = counters::snapshot();
-        assert_eq!((hits, misses), (1, 1));
+        let counted = ledger::since(start);
+        assert_eq!((counted.memo_hits, counted.memo_misses), (1, 1));
     }
 
     #[test]
@@ -400,7 +351,7 @@ mod tests {
 
     #[test]
     fn shard_cap_evicts_oldest_first() {
-        counters::reset();
+        let start = ledger::snapshot();
         let memo = TransferMemo::with_shard_capacity(2);
         // Generate enough distinct keys that some shard overflows.
         for i in 0..(SHARDS as u64 * 8) {
@@ -408,8 +359,10 @@ mod tests {
             memo.insert(key, s(i), s(i), MemoEffect::Alu(s(i)));
         }
         assert!(memo.len() <= SHARDS * 2, "caps hold: {}", memo.len());
-        let (_, _, evicted) = counters::snapshot();
-        assert!(evicted > 0, "overflow evicted oldest entries");
+        assert!(
+            ledger::since(start).memo_evicted > 0,
+            "overflow evicted oldest entries"
+        );
     }
 
     #[test]

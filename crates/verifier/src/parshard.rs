@@ -69,7 +69,8 @@ use crate::cfg::Cfg;
 use crate::error::VerifierError;
 use crate::explore::{Exploration, ExplorationStrategy, PathSensitive};
 use crate::fixpoint::{self, AnalysisStats};
-use crate::state::{stats, AbsState, JoinCounters, SparseStack, WidenCtx, REGS};
+use crate::ledger;
+use crate::state::{AbsState, JoinCounters, SparseStack, WidenCtx, REGS};
 use crate::transfer::Transfer;
 use crate::value::RegValue;
 use crate::visited::ConcurrentVisitedTable;
@@ -88,16 +89,14 @@ struct Job {
 }
 
 /// What one job's local walk produced: the per-pc report accumulators
-/// (as snapshots — they cross back to the coordinator), the ids of the
-/// jobs it spawned in spawn order, and its slice of the counters that
-/// are per-job rather than shared.
+/// (as snapshots — they cross back to the coordinator) and the ids of
+/// the jobs it spawned in spawn order. Its counters went to the
+/// worker's thread-local ledger.
 struct JobResult {
     id: usize,
     children: Vec<usize>,
     report: Vec<(usize, [RegValue; REGS], SparseStack)>,
     error: Option<VerifierError>,
-    unrolled_trips: u64,
-    dead_components_cleared: u64,
 }
 
 /// Everything the workers share: the steal pool, the visited table, the
@@ -182,12 +181,11 @@ impl ExplorationStrategy for PathParallel {
         );
 
         // The coordinator thread's own state traffic (the merge below)
-        // must be counted too: reset here, snapshot after merging.
-        stats::reset();
-        crate::memo::counters::reset();
-        let worker_stats = par_workers(jobs, |worker| {
-            stats::reset();
-            crate::memo::counters::reset();
+        // is counted too: the run's window opens here and closes after
+        // merging, with every worker's ledger credited in between.
+        let start = ledger::snapshot();
+        let worker_ledgers = par_workers(jobs, |worker| {
+            let start = ledger::snapshot();
             while let Some(job) = ctx.pool.pop(worker) {
                 let job_id = job.id;
                 let result = if ctx.errored.load(Ordering::SeqCst) {
@@ -198,8 +196,6 @@ impl ExplorationStrategy for PathParallel {
                         children: Vec::new(),
                         report: Vec::new(),
                         error: None,
-                        unrolled_trips: 0,
-                        dead_components_cleared: 0,
                     }
                 } else {
                     // Containment boundary: a panic inside one job must
@@ -218,8 +214,6 @@ impl ExplorationStrategy for PathParallel {
                         children: Vec::new(),
                         report: Vec::new(),
                         error: Some(VerifierError::from_panic(payload.as_ref())),
-                        unrolled_trips: 0,
-                        dead_components_cleared: 0,
                     })
                 };
                 if result.error.is_some() {
@@ -228,15 +222,16 @@ impl ExplorationStrategy for PathParallel {
                 lock_recover(&ctx.results).push(result);
                 ctx.pool.complete();
             }
-            (stats::snapshot(), crate::memo::counters::snapshot())
+            ledger::since(start)
         });
 
-        // Credit the workers' visits to the coordinator's thread-local
-        // ledger whether the run succeeds, degrades, or reruns
-        // sequentially — the batch engine harvests the ledger around
-        // each item so even a doomed parallel attempt's burned work
-        // shows up in the roll-up.
-        crate::fixpoint::ledger::credit(ctx.visits.load(Ordering::Relaxed));
+        // Credit the workers' counters to the coordinator's ledger
+        // whether the run succeeds, degrades, or reruns sequentially —
+        // the batch engine reads the ledger around each item, so even a
+        // doomed parallel attempt's burned work shows up in the roll-up.
+        for counted in &worker_ledgers {
+            ledger::credit(counted);
+        }
 
         if ctx.errored.load(Ordering::SeqCst) {
             // Governance failures — a contained panic or a blown
@@ -286,13 +281,9 @@ impl ExplorationStrategy for PathParallel {
         // with children in reverse spawn order — the sequential DFS
         // ordering of the same subtrees.
         let mut report: Vec<Option<AbsState>> = vec![None; prog.len()];
-        let mut unrolled_trips = 0u64;
-        let mut dead_components_cleared = 0u64;
         let mut walk = vec![0usize];
         while let Some(id) = walk.pop() {
             let job = by_id[id].take().expect("every spawned job reported");
-            unrolled_trips += job.unrolled_trips;
-            dead_components_cleared += job.dead_components_cleared;
             for (pc, regs, chunks) in job.report {
                 let rebuilt = AbsState::from_parts(regs, chunks);
                 match &mut report[pc] {
@@ -308,54 +299,13 @@ impl ExplorationStrategy for PathParallel {
             walk.extend(job.children.iter().copied());
         }
 
-        let coordinator = stats::snapshot();
-        let coordinator_memo = crate::memo::counters::snapshot();
-        let mut traffic = coordinator;
-        let (mut memo_hits, mut memo_misses, mut memo_evicted) = coordinator_memo;
-        for (t, (h, m, e)) in worker_stats {
-            traffic.allocated += t.allocated;
-            traffic.shared += t.shared;
-            traffic.short_circuited += t.short_circuited;
-            traffic.widenings += t.widenings;
-            traffic.bytes += t.bytes;
-            memo_hits += h;
-            memo_misses += m;
-            memo_evicted += e;
-        }
-        // The worker threads' thread-local memo counters die with the
-        // threads: credit their traffic back onto this (coordinator)
-        // thread so outer aggregators — the batch engine snapshots the
-        // calling thread around each item — still see it.
-        crate::memo::counters::credit(
-            memo_hits - coordinator_memo.0,
-            memo_misses - coordinator_memo.1,
-            memo_evicted - coordinator_memo.2,
-        );
-
         Ok(Exploration {
             states: report,
             stats: AnalysisStats {
-                states_allocated: traffic.allocated,
-                states_shared: traffic.shared,
-                joins_short_circuited: traffic.short_circuited,
-                widenings_applied: traffic.widenings,
-                visits: ctx.visits.load(Ordering::Relaxed),
-                states_pruned: ctx.visited.states_pruned(),
-                subset_checks: ctx.visited.subset_checks(),
-                unrolled_trips,
-                fingerprint_rejects: ctx.visited.fingerprint_rejects(),
-                visited_evicted: ctx.visited.visited_evicted(),
-                bytes_materialized: traffic.bytes,
-                memo_hits,
-                memo_misses,
-                memo_evicted,
-                live_masked_prunes: ctx.visited.masked_prunes(),
-                dead_components_cleared,
                 dead_insns,
                 subtrees_spawned: spawned.saturating_sub(1),
                 steals: ctx.pool.steals(),
-                shared_prunes: ctx.visited.shared_prunes(),
-                degradations: 0,
+                ..ledger::since(start)
             },
         })
     }
@@ -373,8 +323,6 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
     let mut summaries: Vec<Option<AbsState>> = vec![None; head_rpo.len()];
     let mut counters: Vec<JoinCounters> =
         (0..head_rpo.len()).map(|_| JoinCounters::new()).collect();
-    let mut unrolled_trips = 0u64;
-    let mut dead_components_cleared = 0u64;
     let mut error = None;
 
     let mut stack: Vec<(usize, AbsState, std::rc::Rc<Vec<u32>>, u32)> = vec![(
@@ -389,6 +337,7 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
             // sequential rerun will produce the canonical result.
             break;
         }
+        ledger::add(1, |t| &t.visits);
         if ctx.visits.fetch_add(1, Ordering::Relaxed) + 1 > ctx.options.analysis_budget {
             error = Some(VerifierError::AnalysisBudgetExhausted {
                 pc,
@@ -406,7 +355,7 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
         if checkpoint {
             if let Some(p) = &ctx.passes {
                 let mask = p.live_in(pc);
-                dead_components_cleared += u64::from(state.clear_dead(mask.regs, mask.slots));
+                state.clear_dead(mask.regs, mask.slots);
             }
         }
         if h != usize::MAX {
@@ -427,7 +376,7 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
                 }
             }
             if take_trip {
-                unrolled_trips += 1;
+                ledger::add(1, |t| &t.unrolled_trips);
             } else {
                 // Job-local widening summary: every lap of a cycle stays
                 // in this job (back edges never spawn), so the summary
@@ -444,7 +393,7 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
                             }),
                         );
                         if !grew {
-                            ctx.visited.note_summary_prune();
+                            crate::visited::note_summary_prune();
                             continue;
                         }
                         state = summary.clone();
@@ -526,8 +475,6 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
             })
             .collect(),
         error,
-        unrolled_trips,
-        dead_components_cleared,
     }
 }
 
@@ -692,6 +639,9 @@ mod tests {
             .expect("accepted")
             .stats;
         assert_eq!(stats.subtrees_spawned, 0);
-        assert_eq!(stats.steals, 0);
+        // With nothing spawned the root job is the only job, and any
+        // idle worker may steal it before its owner pops it: at most one
+        // steal, never more.
+        assert!(stats.steals <= 1, "{stats:?}");
     }
 }

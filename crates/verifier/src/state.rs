@@ -45,8 +45,8 @@
 //! slot burns its *own* widening delay, so an accumulator that keeps
 //! changing no longer spends the precise joins a bounded counter needed.
 //!
-//! Sharing traffic is counted in thread-local [`stats`] counters that the
-//! exploration engines snapshot into `AnalysisStats`.
+//! Sharing traffic is counted in the thread-local counter ledger the
+//! exploration engines read their `AnalysisStats` from.
 
 use core::fmt;
 use std::rc::Rc;
@@ -54,6 +54,7 @@ use std::rc::Rc;
 use ebpf::{Reg, STACK_SIZE};
 use interval_domain::WidenThresholds;
 
+use crate::ledger;
 use crate::scalar::Scalar;
 use crate::value::RegValue;
 
@@ -71,87 +72,11 @@ pub const CHUNK_SLOTS: usize = 8;
 /// Number of independently-`Rc`'d chunks the stack frame is split into.
 pub const STACK_CHUNKS: usize = SLOTS / CHUNK_SLOTS;
 
-/// Thread-local sharing counters behind `AnalysisStats`. Thread-local
-/// (not per-call plumbing) so the state layer's internals stay free of
-/// `&mut stats` threading; the exploration engines reset them at the
-/// start of an analysis and snapshot them at the end.
-pub(crate) mod stats {
-    use std::cell::Cell;
-
-    /// Snapshot of the state layer's sharing counters.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub(crate) struct Traffic {
-        /// Deep copies of a component (register file or stack chunk).
-        pub(crate) allocated: u64,
-        /// O(1) `AbsState` clones (refcount bumps only).
-        pub(crate) shared: u64,
-        /// Whole components (or chunks) resolved by pointer identity.
-        pub(crate) short_circuited: u64,
-        /// Widening operator applications to individual components.
-        pub(crate) widenings: u64,
-        /// Bytes copied by all materializations, including the chunk
-        /// spine — the working-set proxy `BENCH_PR5.json` tracks.
-        pub(crate) bytes: u64,
-    }
-
-    thread_local! {
-        static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-        static SHARED: Cell<u64> = const { Cell::new(0) };
-        static SHORT_CIRCUITED: Cell<u64> = const { Cell::new(0) };
-        static WIDENINGS: Cell<u64> = const { Cell::new(0) };
-        static BYTES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn bump(c: &'static std::thread::LocalKey<Cell<u64>>) {
-        c.with(|v| v.set(v.get() + 1));
-    }
-
-    /// A deep copy of `bytes` bytes (register file or stack chunk) was
-    /// performed.
-    pub(crate) fn bump_allocated(bytes: usize) {
-        bump(&ALLOCATED);
-        BYTES.with(|v| v.set(v.get() + bytes as u64));
-    }
-
-    /// Bytes copied without a full component materialization (the chunk
-    /// spine of the stack frame).
-    pub(crate) fn bump_bytes(bytes: usize) {
-        BYTES.with(|v| v.set(v.get() + bytes as u64));
-    }
-
-    /// An `AbsState` clone shared both components (refcount bumps only).
-    pub(crate) fn bump_shared() {
-        bump(&SHARED);
-    }
-
-    /// A join/inclusion resolved a whole component or chunk by pointer
-    /// identity.
-    pub(crate) fn bump_short_circuited() {
-        bump(&SHORT_CIRCUITED);
-    }
-
-    /// A widening operator was applied to one register or stack slot.
-    pub(crate) fn bump_widenings() {
-        bump(&WIDENINGS);
-    }
-
-    /// Zeroes all counters (start of an analysis).
-    pub(crate) fn reset() {
-        for c in [&ALLOCATED, &SHARED, &SHORT_CIRCUITED, &WIDENINGS, &BYTES] {
-            c.with(|v| v.set(0));
-        }
-    }
-
-    /// The counters accumulated since the last [`reset`].
-    pub(crate) fn snapshot() -> Traffic {
-        Traffic {
-            allocated: ALLOCATED.with(Cell::get),
-            shared: SHARED.with(Cell::get),
-            short_circuited: SHORT_CIRCUITED.with(Cell::get),
-            widenings: WIDENINGS.with(Cell::get),
-            bytes: BYTES.with(Cell::get),
-        }
-    }
+/// Counts one deep copy of a component (register file or stack chunk)
+/// of `bytes` bytes in the [`ledger`].
+fn count_copy(bytes: usize) {
+    ledger::add(1, |t| &t.states_allocated);
+    ledger::add(bytes as u64, |t| &t.bytes_materialized);
 }
 
 /// The abstract contents of one 8-byte stack slot.
@@ -460,7 +385,7 @@ thread_local! {
 fn cells_mut<T: Component, const N: usize>(rc: &mut Rc<Cells<T, N>>) -> &mut Cells<T, N> {
     let was_shared = Rc::strong_count(rc) > 1;
     if was_shared {
-        stats::bump_allocated(size_of::<Cells<T, N>>());
+        count_copy(size_of::<Cells<T, N>>());
     }
     let c = Rc::make_mut(rc);
     if was_shared {
@@ -554,7 +479,7 @@ impl Clone for AbsState {
     /// lazily, only for the component (or stack chunk) a later write
     /// actually touches.
     fn clone(&self) -> AbsState {
-        stats::bump_shared();
+        ledger::add(1, |t| &t.states_shared);
         AbsState {
             regs: Rc::clone(&self.regs),
             stack: Rc::clone(&self.stack),
@@ -597,7 +522,7 @@ impl AbsState {
         regs[Reg::R10.index()] = RegValue::StackPtr {
             offset: Scalar::constant(0),
         };
-        stats::bump_allocated(size_of::<RegFile>());
+        count_copy(size_of::<RegFile>());
         AbsState {
             regs: Rc::new(Cells::new(regs)),
             stack: EMPTY_FRAME.with(Rc::clone),
@@ -705,7 +630,8 @@ impl AbsState {
     /// already at top are left untouched (no materialization), so
     /// cleaning an already-clean state is free and preserves sharing.
     ///
-    /// Returns the number of components actually cleared.
+    /// Returns the number of components actually cleared (also counted
+    /// as `dead_components_cleared` in the counter ledger).
     pub fn clear_dead(&mut self, live_regs: u16, live_slots: u64) -> u32 {
         let mut cleared = 0;
         for r in Reg::ALL {
@@ -722,6 +648,7 @@ impl AbsState {
                 }
             }
         }
+        ledger::add(u64::from(cleared), |t| &t.dead_components_cleared);
         cleared
     }
 
@@ -962,7 +889,7 @@ fn union_cells<T: Component, const N: usize>(
     b: &Rc<Cells<T, N>>,
 ) -> Rc<Cells<T, N>> {
     if Rc::ptr_eq(a, b) {
-        stats::bump_short_circuited();
+        ledger::add(1, |t| &t.joins_short_circuited);
         return Rc::clone(a);
     }
     let mut merged: Option<Cells<T, N>> = None;
@@ -971,7 +898,7 @@ fn union_cells<T: Component, const N: usize>(
         if next != a.vals[i] {
             merged
                 .get_or_insert_with(|| {
-                    stats::bump_allocated(size_of::<Cells<T, N>>());
+                    count_copy(size_of::<Cells<T, N>>());
                     (**a).clone()
                 })
                 .set(i, next);
@@ -988,13 +915,13 @@ fn union_cells<T: Component, const N: usize>(
 /// frame's `Rc`.
 fn union_frame(a: &Rc<Frame>, b: &Rc<Frame>) -> Rc<Frame> {
     if Rc::ptr_eq(a, b) {
-        stats::bump_short_circuited();
+        ledger::add(1, |t| &t.joins_short_circuited);
         return Rc::clone(a);
     }
     let mut changed = false;
     let chunks: [Rc<Chunk>; STACK_CHUNKS] = std::array::from_fn(|c| {
         if Rc::ptr_eq(&a.chunks[c], &b.chunks[c]) {
-            stats::bump_short_circuited();
+            ledger::add(1, |t| &t.joins_short_circuited);
             return Rc::clone(&a.chunks[c]);
         }
         let merged = union_cells(&a.chunks[c], &b.chunks[c]);
@@ -1004,7 +931,7 @@ fn union_frame(a: &Rc<Frame>, b: &Rc<Frame>) -> Rc<Frame> {
         merged
     });
     if changed {
-        stats::bump_bytes(size_of::<Frame>());
+        ledger::add(size_of::<Frame>() as u64, |t| &t.bytes_materialized);
         Rc::new(Frame::from_chunks(chunks, a.generation))
     } else {
         Rc::clone(a)
@@ -1023,7 +950,7 @@ fn flow_cells<T: Component, const N: usize>(
     mut widen: Option<(&mut [u32], u32, &WidenThresholds)>,
 ) -> bool {
     if Rc::ptr_eq(dst, inc) {
-        stats::bump_short_circuited();
+        ledger::add(1, |t| &t.joins_short_circuited);
         return false;
     }
     let mut changed = false;
@@ -1038,7 +965,7 @@ fn flow_cells<T: Component, const N: usize>(
             Some((counters, delay, thresholds)) => {
                 let joins = &mut counters[i];
                 let next = if *joins >= *delay {
-                    stats::bump_widenings();
+                    ledger::add(1, |t| &t.widenings_applied);
                     cur.widen_with(grown, thresholds)
                 } else {
                     grown
@@ -1066,7 +993,7 @@ fn flow_cells<T: Component, const N: usize>(
 fn frame_spine_mut(rc: &mut Rc<Frame>) -> &mut Frame {
     let was_shared = Rc::strong_count(rc) > 1;
     if was_shared {
-        stats::bump_bytes(size_of::<Frame>());
+        ledger::add(size_of::<Frame>() as u64, |t| &t.bytes_materialized);
     }
     let f = Rc::make_mut(rc);
     if was_shared {
@@ -1087,7 +1014,7 @@ fn flow_frame(
     widen: Option<(&mut [u32], u32, &WidenThresholds)>,
 ) -> bool {
     if Rc::ptr_eq(dst, inc) {
-        stats::bump_short_circuited();
+        ledger::add(1, |t| &t.joins_short_circuited);
         return false;
     }
     // All chunks identical by pointer: nothing can flow.
@@ -1097,7 +1024,7 @@ fn flow_frame(
         .zip(inc.chunks.iter())
         .all(|(a, b)| Rc::ptr_eq(a, b))
     {
-        stats::bump_short_circuited();
+        ledger::add(1, |t| &t.joins_short_circuited);
         return false;
     }
     let frame = frame_spine_mut(dst);
@@ -1108,7 +1035,7 @@ fn flow_frame(
     let mut changed = false;
     for c in 0..STACK_CHUNKS {
         if Rc::ptr_eq(&frame.chunks[c], &inc.chunks[c]) {
-            stats::bump_short_circuited();
+            ledger::add(1, |t| &t.joins_short_circuited);
             continue;
         }
         let chunk_widen = match (&mut counters, widen_rest) {

@@ -19,7 +19,7 @@
 //!   fingerprint matches — plus a small newest-first budget of
 //!   strict-inclusion probes ([`STRICT_PROBES`]), since a strictly
 //!   smaller arrival can hide behind any fingerprint. Skipped candidates
-//!   are counted as [`VisitedTable::fingerprint_rejects`]. Skipping a
+//!   are counted as `fingerprint_rejects`. Skipping a
 //!   probe is always sound: pruning is an optimization, and the
 //!   equality path (which termination of the widening fallback leans
 //!   on) is probed against the *entire* chain.
@@ -31,11 +31,11 @@
 //! * **Chain caps.** Each pc keeps at most `cap` entries
 //!   ([`crate::AnalyzerOptions::visited_cap`], default
 //!   [`DEFAULT_CAP`]); a full chain evicts oldest-first, kernel-style.
-//!   Evictions of both kinds are counted in
-//!   [`VisitedTable::visited_evicted`].
+//!   Evictions of both kinds are counted as `visited_evicted`.
 //!
-//! The table also owns the pruning accounting surfaced through
-//! [`crate::AnalysisStats`]: how many full inclusion probes ran
+//! Both tables count the pruning ledger surfaced through
+//! [`crate::AnalysisStats`] in the calling thread's counter ledger,
+//! not in fields of their own: how many full inclusion probes ran
 //! (`subset_checks`), how many candidates were dismissed by fingerprint
 //! (`fingerprint_rejects`), how many entries were evicted
 //! (`visited_evicted`), and how many branch states were pruned
@@ -43,11 +43,11 @@
 //! CI (`fixpoint_guard` fails on `subset_checks` regressions at the
 //! deep-unroll point).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use domain::parallel::lock_recover;
 
+use crate::ledger;
 use crate::state::{AbsState, SparseStack, REGS};
 use crate::value::RegValue;
 
@@ -84,9 +84,8 @@ struct Entry {
 }
 
 /// Per-instruction chains of already-explored abstract states, with
-/// fingerprint-gated inclusion pruning ([`VisitedTable::is_covered`]),
-/// dominance and oldest-first eviction, and the counters behind
-/// [`crate::AnalysisStats`].
+/// fingerprint-gated inclusion pruning ([`VisitedTable::is_covered`])
+/// and dominance and oldest-first eviction.
 ///
 /// Entries are only recorded at *checkpoints* chosen by the explorer
 /// (loop heads and control-flow merge points — where paths can actually
@@ -95,11 +94,6 @@ struct Entry {
 pub struct VisitedTable {
     buckets: Vec<Vec<Entry>>,
     cap: usize,
-    subset_checks: u64,
-    states_pruned: u64,
-    fingerprint_rejects: u64,
-    visited_evicted: u64,
-    masked_prunes: u64,
 }
 
 impl VisitedTable {
@@ -117,17 +111,12 @@ impl VisitedTable {
         VisitedTable {
             buckets: vec![Vec::new(); len],
             cap: if cap == 0 { usize::MAX } else { cap },
-            subset_checks: 0,
-            states_pruned: 0,
-            fingerprint_rejects: 0,
-            visited_evicted: 0,
-            masked_prunes: 0,
         }
     }
 
     /// Whether `state` is included in an already-recorded state at `pc`
     /// — if so, exploring it can prove nothing new and the caller should
-    /// prune the path (counted in [`VisitedTable::states_pruned`]).
+    /// prune the path (counted as `states_pruned`).
     ///
     /// Newest entries are probed first: in a loop the most recent trip's
     /// state is the likeliest cover for a re-converging path. Candidates
@@ -135,7 +124,7 @@ impl VisitedTable {
     /// they sit in the chain; mismatched candidates (provably unequal)
     /// get one only within the newest-first [`STRICT_PROBES`] budget and
     /// are otherwise dismissed in O(1).
-    pub fn is_covered(&mut self, pc: usize, state: &AbsState) -> bool {
+    pub fn is_covered(&self, pc: usize, state: &AbsState) -> bool {
         self.probe(pc, state, STRICT_PROBES)
     }
 
@@ -145,22 +134,22 @@ impl VisitedTable {
     /// every dead component to its top, arrivals that differ only in
     /// dead components already land on the fingerprint-match path, so
     /// deep probes on mismatched fingerprints buy almost nothing.
-    /// Prunes through this path are additionally counted in
-    /// [`VisitedTable::masked_prunes`] (the `live_masked_prunes` stat).
-    pub fn is_covered_masked(&mut self, pc: usize, state: &AbsState) -> bool {
+    /// Prunes through this path are additionally counted as
+    /// `live_masked_prunes`.
+    pub fn is_covered_masked(&self, pc: usize, state: &AbsState) -> bool {
         let covered = self.probe(pc, state, MASKED_STRICT_PROBES);
-        if covered {
-            self.masked_prunes += 1;
-        }
+        ledger::add(u64::from(covered), |t| &t.live_masked_prunes);
         covered
     }
 
     /// The shared probe loop behind both covering checks, with an
     /// explicit newest-first budget of strict (fingerprint-mismatched)
     /// deep probes.
-    fn probe(&mut self, pc: usize, state: &AbsState, strict_budget: usize) -> bool {
+    fn probe(&self, pc: usize, state: &AbsState, strict_budget: usize) -> bool {
         let fp = state.fingerprint();
         let mut strict_left = strict_budget;
+        let (mut checks, mut rejects) = (0u64, 0u64);
+        let mut covered = false;
         for seen in self.buckets[pc].iter().rev() {
             let full_probe = if seen.fp == fp {
                 true
@@ -168,18 +157,19 @@ impl VisitedTable {
                 strict_left -= 1;
                 true
             } else {
-                self.fingerprint_rejects += 1;
+                rejects += 1;
                 false
             };
             if full_probe {
-                self.subset_checks += 1;
+                checks += 1;
                 if state.is_subset_of(&seen.state) {
-                    self.states_pruned += 1;
-                    return true;
+                    covered = true;
+                    break;
                 }
             }
         }
-        false
+        count_probe(checks, rejects, covered);
+        covered
     }
 
     /// Records `state` as fully explored at `pc`, so later arrivals it
@@ -193,27 +183,20 @@ impl VisitedTable {
         let fp = state.fingerprint();
         let bucket = &mut self.buckets[pc];
         let lo = bucket.len().saturating_sub(DOMINANCE_PROBES);
+        let checks = (bucket.len() - lo) as u64;
+        let mut evicted = 0u64;
         for i in (lo..bucket.len()).rev() {
-            self.subset_checks += 1;
             if bucket[i].state.is_subset_of(&state) {
                 bucket.remove(i);
-                self.visited_evicted += 1;
+                evicted += 1;
             }
         }
         while bucket.len() >= self.cap {
             bucket.remove(0);
-            self.visited_evicted += 1;
+            evicted += 1;
         }
         bucket.push(Entry { fp, state });
-    }
-
-    /// Notes a prune that happened outside the table — the explorer's
-    /// loop-head summary covering an arrival without a chain probe — so
-    /// the `states_pruned`/`subset_checks` ledger stays complete (the
-    /// cover was established by one inclusion-shaped `flow_join`).
-    pub fn note_summary_prune(&mut self) {
-        self.subset_checks += 1;
-        self.states_pruned += 1;
+        count_insert(checks, evicted);
     }
 
     /// The surviving states recorded at `pc`, oldest first.
@@ -260,41 +243,29 @@ impl VisitedTable {
     pub fn is_empty(&self) -> bool {
         self.buckets.iter().all(Vec::is_empty)
     }
+}
 
-    /// Full inclusion probes performed so far (covering probes plus
-    /// dominance-eviction probes).
-    #[must_use]
-    pub fn subset_checks(&self) -> u64 {
-        self.subset_checks
-    }
+/// Counts one covering probe: `checks` full inclusion checks,
+/// `rejects` fingerprint dismissals, and whether it pruned.
+fn count_probe(checks: u64, rejects: u64, pruned: bool) {
+    ledger::add(checks, |t| &t.subset_checks);
+    ledger::add(rejects, |t| &t.fingerprint_rejects);
+    ledger::add(u64::from(pruned), |t| &t.states_pruned);
+}
 
-    /// Arrivals pruned as covered so far.
-    #[must_use]
-    pub fn states_pruned(&self) -> u64 {
-        self.states_pruned
-    }
+/// Counts one insertion: `checks` dominance probes and `evicted`
+/// entries dropped (dominated or past the chain cap).
+fn count_insert(checks: u64, evicted: u64) {
+    ledger::add(checks, |t| &t.subset_checks);
+    ledger::add(evicted, |t| &t.visited_evicted);
+}
 
-    /// Probe candidates dismissed in O(1) on fingerprint mismatch
-    /// without a full inclusion check.
-    #[must_use]
-    pub fn fingerprint_rejects(&self) -> u64 {
-        self.fingerprint_rejects
-    }
-
-    /// Entries dropped from chains: dominated by a newer insertion, or
-    /// displaced oldest-first by the chain cap.
-    #[must_use]
-    pub fn visited_evicted(&self) -> u64 {
-        self.visited_evicted
-    }
-
-    /// Arrivals pruned through the liveness-masked probe path
-    /// ([`VisitedTable::is_covered_masked`]) — a subset of
-    /// [`VisitedTable::states_pruned`].
-    #[must_use]
-    pub fn masked_prunes(&self) -> u64 {
-        self.masked_prunes
-    }
+/// Notes a prune that happened outside the tables — a path explorer's
+/// loop-head summary covering an arrival without a chain probe — so the
+/// `states_pruned`/`subset_checks` ledger stays complete (the cover was
+/// established by one inclusion-shaped `flow_join`).
+pub(crate) fn note_summary_prune() {
+    count_probe(1, 0, true);
 }
 
 /// How many lock stripes a [`ConcurrentVisitedTable`] spreads its per-pc
@@ -333,21 +304,15 @@ struct SharedEntry {
 /// representation `verifier::batch` ships finished analyses across
 /// threads with), which keeps the table `Send + Sync` while `AbsState`
 /// itself stays `Rc`-backed and allocation-cheap inside each worker.
-/// Counters are relaxed atomics; they feed the same
-/// [`crate::AnalysisStats`] ledger fields as the sequential table, plus
-/// the cross-worker [`ConcurrentVisitedTable::shared_prunes`] count.
+/// Each worker counts its own probes and insertions in its thread's
+/// counter ledger, under the same [`crate::AnalysisStats`] fields as the
+/// sequential table, plus the cross-worker `shared_prunes` count.
 #[derive(Debug)]
 pub struct ConcurrentVisitedTable {
     /// `stripes[s]` holds the chains of pcs `s, s + n, s + 2n, …` where
     /// `n` is the stripe count; chain index within a stripe is `pc / n`.
     stripes: Vec<Mutex<Vec<Vec<SharedEntry>>>>,
     cap: usize,
-    subset_checks: AtomicU64,
-    states_pruned: AtomicU64,
-    fingerprint_rejects: AtomicU64,
-    visited_evicted: AtomicU64,
-    masked_prunes: AtomicU64,
-    shared_prunes: AtomicU64,
 }
 
 impl ConcurrentVisitedTable {
@@ -366,33 +331,24 @@ impl ConcurrentVisitedTable {
                 })
                 .collect(),
             cap: if cap == 0 { usize::MAX } else { cap },
-            subset_checks: AtomicU64::new(0),
-            states_pruned: AtomicU64::new(0),
-            fingerprint_rejects: AtomicU64::new(0),
-            visited_evicted: AtomicU64::new(0),
-            masked_prunes: AtomicU64::new(0),
-            shared_prunes: AtomicU64::new(0),
         }
     }
 
     /// [`VisitedTable::is_covered`], against the shared chains: whether
     /// `state` is included in a state *any* worker already recorded at
     /// `pc`. `worker` identifies the prober — a hit on an entry inserted
-    /// by a different worker additionally counts as a
-    /// [`ConcurrentVisitedTable::shared_prunes`] cross-worker prune.
+    /// by a different worker additionally counts as a cross-worker
+    /// `shared_prunes` prune.
     pub fn is_covered(&self, pc: usize, state: &AbsState, worker: usize) -> bool {
         self.probe(pc, state, STRICT_PROBES, worker)
     }
 
     /// [`VisitedTable::is_covered_masked`], against the shared chains:
     /// the liveness-cleaned probe path with its zero strict-probe
-    /// budget, counted in [`ConcurrentVisitedTable::masked_prunes`] on a
-    /// hit.
+    /// budget, counted as `live_masked_prunes` on a hit.
     pub fn is_covered_masked(&self, pc: usize, state: &AbsState, worker: usize) -> bool {
         let covered = self.probe(pc, state, MASKED_STRICT_PROBES, worker);
-        if covered {
-            self.masked_prunes.fetch_add(1, Ordering::Relaxed);
-        }
+        ledger::add(u64::from(covered), |t| &t.live_masked_prunes);
         covered
     }
 
@@ -430,17 +386,10 @@ impl ConcurrentVisitedTable {
             }
         }
         drop(stripe);
-        self.subset_checks.fetch_add(checks, Ordering::Relaxed);
-        self.fingerprint_rejects
-            .fetch_add(rejects, Ordering::Relaxed);
-        if let Some(inserter) = hit {
-            self.states_pruned.fetch_add(1, Ordering::Relaxed);
-            if inserter != worker {
-                self.shared_prunes.fetch_add(1, Ordering::Relaxed);
-            }
-            return true;
-        }
-        false
+        count_probe(checks, rejects, hit.is_some());
+        let shared = hit.is_some_and(|inserter| inserter != worker);
+        ledger::add(u64::from(shared), |t| &t.shared_prunes);
+        hit.is_some()
     }
 
     /// [`VisitedTable::insert`], against the shared chains: records
@@ -476,54 +425,7 @@ impl ConcurrentVisitedTable {
                 worker,
             });
         }
-        self.subset_checks.fetch_add(checks, Ordering::Relaxed);
-        self.visited_evicted.fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Notes a prune established outside the table (a worker's job-local
-    /// loop-head summary covering an arrival), mirroring
-    /// [`VisitedTable::note_summary_prune`].
-    pub fn note_summary_prune(&self) {
-        self.subset_checks.fetch_add(1, Ordering::Relaxed);
-        self.states_pruned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Full inclusion probes performed so far across all workers.
-    #[must_use]
-    pub fn subset_checks(&self) -> u64 {
-        self.subset_checks.load(Ordering::Relaxed)
-    }
-
-    /// Arrivals pruned as covered so far across all workers.
-    #[must_use]
-    pub fn states_pruned(&self) -> u64 {
-        self.states_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Probe candidates dismissed in O(1) on fingerprint mismatch.
-    #[must_use]
-    pub fn fingerprint_rejects(&self) -> u64 {
-        self.fingerprint_rejects.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped from shared chains (dominance or chain cap).
-    #[must_use]
-    pub fn visited_evicted(&self) -> u64 {
-        self.visited_evicted.load(Ordering::Relaxed)
-    }
-
-    /// Arrivals pruned through the liveness-masked probe path.
-    #[must_use]
-    pub fn masked_prunes(&self) -> u64 {
-        self.masked_prunes.load(Ordering::Relaxed)
-    }
-
-    /// Cross-worker prunes: arrivals pruned by an entry a *different*
-    /// worker inserted — the observable payoff of sharing the table
-    /// instead of giving each worker a private one.
-    #[must_use]
-    pub fn shared_prunes(&self) -> u64 {
-        self.shared_prunes.load(Ordering::Relaxed)
+        count_insert(checks, evicted);
     }
 }
 
@@ -542,6 +444,7 @@ mod tests {
 
     #[test]
     fn covers_equal_and_included_states_only() {
+        let start = ledger::snapshot();
         let mut table = VisitedTable::new(4);
         let a = with_r3(1);
         assert!(!table.is_covered(2, &a), "empty bucket covers nothing");
@@ -557,13 +460,15 @@ mod tests {
         assert!(!table.is_covered(3, &a));
         // …and an incomparable state is not covered.
         assert!(!table.is_covered(2, &with_r3(9)));
-        assert_eq!(table.states_pruned(), 2);
-        assert!(table.subset_checks() >= table.states_pruned());
+        let counted = ledger::since(start);
+        assert_eq!(counted.states_pruned, 2);
+        assert!(counted.subset_checks >= counted.states_pruned);
         assert!(!table.is_empty());
     }
 
     #[test]
     fn dominance_eviction_drops_subsumed_entries() {
+        let start = ledger::snapshot();
         let mut table = VisitedTable::new(2);
         let a = with_r3(1);
         table.insert(1, a.clone());
@@ -573,32 +478,34 @@ mod tests {
         let joined = a.union(&with_r3(5));
         table.insert(1, joined);
         assert_eq!(table.entries(1).len(), 1, "dominated entry evicted");
-        assert_eq!(table.visited_evicted(), 1);
+        assert_eq!(ledger::since(start).visited_evicted, 1);
         assert!(table.is_covered(1, &a), "survivor still covers");
         // An incomparable insertion evicts nothing.
         table.insert(1, with_r3(9));
         assert_eq!(table.entries(1).len(), 2);
-        assert_eq!(table.visited_evicted(), 1);
+        assert_eq!(ledger::since(start).visited_evicted, 1);
     }
 
     #[test]
     fn chain_cap_evicts_oldest_first() {
+        let start = ledger::snapshot();
         let mut table = VisitedTable::with_cap(1, 2);
         table.insert(0, with_r3(1));
         table.insert(0, with_r3(2));
         table.insert(0, with_r3(3)); // displaces with_r3(1)
         assert_eq!(table.entries(0).len(), 2);
-        assert_eq!(table.visited_evicted(), 1);
+        assert_eq!(ledger::since(start).visited_evicted, 1);
         // The oldest entry is gone: its state no longer covers.
         assert!(!table.is_covered(0, &with_r3(1)));
         assert!(table.is_covered(0, &with_r3(3)), "newest survives");
         // cap == 0 means unbounded.
+        let start = ledger::snapshot();
         let mut unbounded = VisitedTable::with_cap(1, 0);
         for k in 0..100 {
             unbounded.insert(0, with_r3(k));
         }
         assert_eq!(unbounded.entries(0).len(), 100);
-        assert_eq!(unbounded.visited_evicted(), 0);
+        assert_eq!(ledger::since(start).visited_evicted, 0);
     }
 
     #[test]
@@ -607,13 +514,14 @@ mod tests {
         for k in 0..16 {
             table.insert(0, with_r3(100 + k));
         }
-        let checks_before = table.subset_checks();
+        let before = ledger::snapshot();
         // An incomparable arrival: every candidate's fingerprint
         // mismatches, so only the strict-probe budget runs deep checks
         // and the rest are O(1) rejects.
         assert!(!table.is_covered(0, &with_r3(7)));
-        assert_eq!(table.subset_checks() - checks_before, 2);
-        assert_eq!(table.fingerprint_rejects(), 14);
+        let probe = ledger::since(before);
+        assert_eq!(probe.subset_checks, 2);
+        assert_eq!(probe.fingerprint_rejects, 14);
         // An arrival *equal* to the oldest entry is still found: the
         // fingerprint match forces the deep probe wherever it sits.
         assert!(table.is_covered(0, &with_r3(100)));
@@ -625,18 +533,20 @@ mod tests {
         for k in 0..16 {
             table.insert(0, with_r3(100 + k));
         }
-        let checks_before = table.subset_checks();
+        let before = ledger::snapshot();
         // Incomparable arrival: all fingerprints mismatch, and the
         // masked path spends no strict probes on them at all.
         assert!(!table.is_covered_masked(0, &with_r3(7)));
-        assert_eq!(table.subset_checks(), checks_before, "no deep probes");
-        assert_eq!(table.fingerprint_rejects(), 16);
-        assert_eq!(table.masked_prunes(), 0);
+        let probe = ledger::since(before);
+        assert_eq!(probe.subset_checks, 0, "no deep probes");
+        assert_eq!(probe.fingerprint_rejects, 16);
+        assert_eq!(probe.live_masked_prunes, 0);
         // The equality path is untouched: a fingerprint match forces
         // the deep probe wherever the entry sits in the chain.
         assert!(table.is_covered_masked(0, &with_r3(100)));
-        assert_eq!(table.masked_prunes(), 1);
-        assert_eq!(table.states_pruned(), 1);
+        let probes = ledger::since(before);
+        assert_eq!(probes.live_masked_prunes, 1);
+        assert_eq!(probes.states_pruned, 1);
     }
 
     #[test]
@@ -656,14 +566,14 @@ mod tests {
     fn joined_single_entry_is_an_rc_share_with_zero_bytes_materialized() {
         let mut table = VisitedTable::new(2);
         table.insert(1, with_r3(7));
-        crate::state::stats::reset();
+        let start = ledger::snapshot();
         let j = table.joined(1).expect("one entry");
-        let traffic = crate::state::stats::snapshot();
+        let traffic = ledger::since(start);
         assert_eq!(
-            traffic.bytes, 0,
+            traffic.bytes_materialized, 0,
             "a single-entry join must not materialize anything"
         );
-        assert_eq!(traffic.allocated, 0);
+        assert_eq!(traffic.states_allocated, 0);
         // The summary literally shares the entry's components.
         let entry = table.entries(1).next().unwrap();
         assert!(j.shares_regs_with(entry) && j.shares_stack_with(entry));
@@ -676,61 +586,75 @@ mod tests {
         // is a drop-in for one worker).
         let mut seq = VisitedTable::with_cap(4, 0);
         let par = ConcurrentVisitedTable::with_cap(4, 0);
+        // Incomparable arrival: strict budget + fingerprint rejects.
+        let seq_start = ledger::snapshot();
         for k in 0..16 {
             seq.insert(0, with_r3(100 + k));
+        }
+        assert!(!seq.is_covered(0, &with_r3(7)));
+        let seq_counted = ledger::since(seq_start);
+        let par_start = ledger::snapshot();
+        for k in 0..16 {
             par.insert(0, &with_r3(100 + k), 0);
         }
-        // Incomparable arrival: strict budget + fingerprint rejects.
-        assert!(!seq.is_covered(0, &with_r3(7)));
         assert!(!par.is_covered(0, &with_r3(7), 0));
-        assert_eq!(seq.subset_checks(), par.subset_checks());
-        assert_eq!(seq.fingerprint_rejects(), par.fingerprint_rejects());
+        let par_counted = ledger::since(par_start);
+        assert_eq!(seq_counted.subset_checks, par_counted.subset_checks);
+        assert_eq!(
+            seq_counted.fingerprint_rejects,
+            par_counted.fingerprint_rejects
+        );
         // Equality hit deep in the chain; a strictly smaller arrival hits
         // through the strict budget.
         assert!(par.is_covered(0, &with_r3(100), 0));
         let joined = with_r3(1).union(&with_r3(5));
-        seq.insert(1, joined.clone());
         par.insert(1, &joined, 0);
         assert!(par.is_covered(1, &with_r3(5), 0));
-        assert_eq!(par.states_pruned(), 2);
+        let par_counted = ledger::since(par_start);
+        assert_eq!(par_counted.states_pruned, 2);
         // Same-worker prunes are not "shared".
-        assert_eq!(par.shared_prunes(), 0);
+        assert_eq!(par_counted.shared_prunes, 0);
         // Masked probes spend no strict probes on mismatches.
-        let before = par.subset_checks();
+        let before = ledger::snapshot();
         assert!(!par.is_covered_masked(0, &with_r3(7), 0));
-        assert_eq!(par.subset_checks(), before);
-        assert_eq!(par.masked_prunes(), 0);
+        let masked = ledger::since(before);
+        assert_eq!(masked.subset_checks, 0);
+        assert_eq!(masked.live_masked_prunes, 0);
     }
 
     #[test]
     fn concurrent_table_counts_cross_worker_prunes() {
+        let start = ledger::snapshot();
         let par = ConcurrentVisitedTable::with_cap(2, 0);
         par.insert(1, &with_r3(3), 0);
         // Worker 1 pruned by worker 0's entry: a shared prune.
         assert!(par.is_covered(1, &with_r3(3), 1));
-        assert_eq!(par.shared_prunes(), 1);
+        assert_eq!(ledger::since(start).shared_prunes, 1);
         // Worker 0 pruned by its own entry: not shared.
         assert!(par.is_covered(1, &with_r3(3), 0));
-        assert_eq!(par.shared_prunes(), 1);
-        assert_eq!(par.states_pruned(), 2);
+        let counted = ledger::since(start);
+        assert_eq!(counted.shared_prunes, 1);
+        assert_eq!(counted.states_pruned, 2);
     }
 
     #[test]
     fn concurrent_table_dominance_eviction_and_chain_cap() {
         // Dominance: a covering insertion evicts the newest entries it
         // subsumes, exactly as in the sequential table.
+        let start = ledger::snapshot();
         let par = ConcurrentVisitedTable::with_cap(2, 0);
         par.insert(1, &with_r3(1), 0);
         let joined = with_r3(1).union(&with_r3(5));
         par.insert(1, &joined, 0);
-        assert_eq!(par.visited_evicted(), 1);
+        assert_eq!(ledger::since(start).visited_evicted, 1);
         assert!(par.is_covered(1, &with_r3(1), 0), "survivor still covers");
         // Chain cap: oldest-first displacement.
+        let start = ledger::snapshot();
         let capped = ConcurrentVisitedTable::with_cap(1, 2);
         capped.insert(0, &with_r3(1), 0);
         capped.insert(0, &with_r3(2), 0);
         capped.insert(0, &with_r3(3), 0);
-        assert_eq!(capped.visited_evicted(), 1);
+        assert_eq!(ledger::since(start).visited_evicted, 1);
         assert!(!capped.is_covered(0, &with_r3(1), 0), "oldest evicted");
         assert!(capped.is_covered(0, &with_r3(3), 0), "newest survives");
     }

@@ -26,8 +26,7 @@ use ebpf::asm::assemble;
 use ebpf::Program;
 use verifier::failpoint::{self, FaultPlan, FaultSite};
 use verifier::{
-    batch, AnalyzerOptions, BatchItem, DegradationPolicy, Strategy, TransferMemo,
-    VerificationSession, VerifierError,
+    AnalyzerOptions, DegradationPolicy, Strategy, TransferMemo, VerificationSession, VerifierError,
 };
 
 /// A bounded loop filling a stack window — loopy enough that every
@@ -79,6 +78,36 @@ fn branchy() -> Program {
     .expect("assembles")
 }
 
+/// A branch tree over a chain of scalar ALU ops: every visit feeds the
+/// transfer memo, so a walk cut short still leaves lookups behind.
+fn alu_branchy() -> Program {
+    assemble(
+        r"
+        r2 = *(u8 *)(r1 + 0)
+        r3 = *(u8 *)(r1 + 1)
+        r2 *= 3
+        r3 += r2
+        if r2 > 9 goto a
+        r2 ^= r3
+        r3 -= 1
+    a:
+        r2 |= 1
+        r3 &= 15
+        if r3 > 7 goto b
+        r2 += r3
+    b:
+        r2 &= 6
+        r4 = r10
+        r4 += -16
+        r4 += r2
+        *(u8 *)(r4 + 0) = 0
+        r0 = 0
+        exit
+    ",
+    )
+    .expect("assembles")
+}
+
 /// The fixture fleet every batch test verifies.
 fn fleet() -> Vec<Program> {
     vec![loopy(), branchy(), loopy(), branchy(), loopy(), branchy()]
@@ -93,18 +122,13 @@ fn site_of(strategy: Strategy) -> FaultSite {
     }
 }
 
-/// Batch items for `fleet` under one strategy, failing fast so tests
-/// observe raw governance errors instead of ladder re-runs.
-fn items(progs: &[Program], strategy: Strategy, options: &AnalyzerOptions) -> Vec<BatchItem> {
-    progs
-        .iter()
-        .map(|prog| BatchItem {
-            prog: prog.clone(),
-            options: options.clone(),
-            strategy,
-            degradation: DegradationPolicy::FailFast,
-        })
-        .collect()
+/// A batch session under one strategy, failing fast so tests observe
+/// raw governance errors instead of ladder re-runs.
+fn session(strategy: Strategy, options: &AnalyzerOptions) -> VerificationSession {
+    VerificationSession::new()
+        .with_options(options.clone())
+        .with_strategy(strategy)
+        .with_degradation(DegradationPolicy::FailFast)
 }
 
 fn options_for(strategy: Strategy) -> AnalyzerOptions {
@@ -140,7 +164,7 @@ fn injected_panic_faults_exactly_one_program_per_batch() {
         let options = options_for(strategy);
         let baseline = {
             let _quiet = failpoint::install(FaultPlan::new());
-            batch::run(&items(&progs, strategy, &options), 1)
+            session(strategy, &options).run_batch(&progs, 1)
         };
         assert_eq!(baseline.stats.accepted, progs.len(), "{strategy:?}");
         let expected = annotations(&baseline.results, &progs);
@@ -149,7 +173,7 @@ fn injected_panic_faults_exactly_one_program_per_batch() {
             let plan = FaultPlan::new().panic_at(site_of(strategy), 10);
             let report = {
                 let _guard = failpoint::install(plan);
-                batch::run(&items(&progs, strategy, &options), jobs)
+                session(strategy, &options).run_batch(&progs, jobs)
             };
             let faults: Vec<usize> = report
                 .results
@@ -199,7 +223,7 @@ fn poisoned_memo_shard_is_recovered_and_does_not_spread() {
     };
     let baseline = {
         let _quiet = failpoint::install(FaultPlan::new());
-        batch::run(&items(&progs, Strategy::WideningFixpoint, &options), 2)
+        session(Strategy::WideningFixpoint, &options).run_batch(&progs, 2)
     };
     assert_eq!(baseline.stats.accepted, progs.len());
     let expected = annotations(&baseline.results, &progs);
@@ -213,7 +237,7 @@ fn poisoned_memo_shard_is_recovered_and_does_not_spread() {
             memo_cache: Some(Arc::new(TransferMemo::new())),
             ..AnalyzerOptions::default()
         };
-        batch::run(&items(&progs, Strategy::WideningFixpoint, &options), 2)
+        session(Strategy::WideningFixpoint, &options).run_batch(&progs, 2)
     };
     let faults: Vec<usize> = report
         .results
@@ -268,6 +292,32 @@ fn ladder_downgrades_parallel_faults_to_the_sequential_verdict() {
 }
 
 #[test]
+fn batch_counters_include_abandoned_ladder_rungs() {
+    // The path walk panics mid-program, the ladder re-runs it under the
+    // fixpoint, and the batch roll-up must count both rungs: visits and
+    // memo lookups alike exceed what the returned analysis reports.
+    let progs = [alu_branchy()];
+    let report = {
+        let _guard = failpoint::install(FaultPlan::new().panic_at(FaultSite::PathVisit, 12));
+        VerificationSession::new()
+            .with_strategy(Strategy::PathSensitive)
+            .run_batch(&progs, 1)
+    };
+    let analysis = report.results[0].as_ref().expect("the ladder rescues");
+    assert_eq!(analysis.strategy(), Strategy::WideningFixpoint);
+    let own = analysis.stats();
+    assert_eq!(own.degradations, 1);
+    let visits: u64 = report.stats.per_worker_visits.iter().sum();
+    assert!(visits > own.visits, "{visits} vs {own:?}");
+    let lookups = report.stats.memo_hits + report.stats.memo_misses;
+    assert!(
+        lookups > own.memo_hits + own.memo_misses,
+        "{:?} vs {own:?}",
+        report.stats
+    );
+}
+
+#[test]
 fn fail_fast_reports_the_raw_governance_fault() {
     let prog = loopy();
     let _guard = failpoint::install(FaultPlan::new().panic_at(FaultSite::ParshardJob, 10));
@@ -313,7 +363,7 @@ fn zero_deadline_batches_account_every_program() {
         deadline: Some(Duration::ZERO),
         ..AnalyzerOptions::default()
     };
-    let report = batch::run(&items(&progs, Strategy::WideningFixpoint, &options), 2);
+    let report = session(Strategy::WideningFixpoint, &options).run_batch(&progs, 2);
     assert_eq!(report.stats.deadline_exceeded, progs.len());
     assert_eq!(report.stats.accepted, 0);
     // The rejected runs' partial walks still land in the visit roll-up.
@@ -328,14 +378,14 @@ fn generous_deadline_changes_no_verdict() {
     for strategy in Strategy::ALL {
         let plain = {
             let opts = options_for(strategy);
-            batch::run(&items(&progs, strategy, &opts), 2)
+            session(strategy, &opts).run_batch(&progs, 2)
         };
         let governed = {
             let opts = AnalyzerOptions {
                 deadline: Some(Duration::from_millis(10_000)),
                 ..options_for(strategy)
             };
-            batch::run(&items(&progs, strategy, &opts), 2)
+            session(strategy, &opts).run_batch(&progs, 2)
         };
         assert_eq!(governed.stats.deadline_exceeded, 0, "{strategy:?}");
         assert_eq!(
@@ -358,14 +408,14 @@ fn scattered_campaign_never_escapes_containment() {
                 };
                 let baseline = {
                     let _quiet = failpoint::install(FaultPlan::new());
-                    batch::run(&items(&progs, strategy, &options), jobs)
+                    session(strategy, &options).run_batch(&progs, jobs)
                 };
                 let expected = annotations(&baseline.results, &progs);
 
                 let plan = FaultPlan::scattered(seed, 3, 40);
                 let report = {
                     let _guard = failpoint::install(plan);
-                    batch::run(&items(&progs, strategy, &options), jobs)
+                    session(strategy, &options).run_batch(&progs, jobs)
                 };
                 // The batch always completes with a verdict per program;
                 // any slot either matches the fault-free run exactly or
