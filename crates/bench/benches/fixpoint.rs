@@ -30,7 +30,7 @@ use bench::harness::Group;
 use bench::table;
 use ebpf::asm::assemble;
 use ebpf::Vm;
-use verifier::VerificationSession;
+use verifier::{AnalyzerOptions, Strategy};
 
 fn main() {
     let mut group = Group::new("fixpoint_sweep");
@@ -52,7 +52,8 @@ fn main() {
         ",
     )
     .expect("assembles");
-    let session = VerificationSession::new();
+    let session =
+        fixpoint_suite::suite_session(Strategy::WideningFixpoint, AnalyzerOptions::default());
     group.bench("analyze/unbounded_to_top", || {
         session.run(&unbounded).expect("terminates at ⊤")
     });

@@ -16,11 +16,11 @@
 //!     [--strategy fixpoint|path|parshard] [--ctx-size 64] \
 //!     [--strict-alignment] [--no-refine] [--reject-loops] \
 //!     [--widen-delay 16] [--unroll-k 32] [--visited-cap 32] \
-//!     [--no-thresholds] [--budget 1000000] [--no-memo] [--no-liveness] \
+//!     [--no-thresholds] [--budget 1000000] [--no-liveness] \
 //!     [--explore-jobs 4] [--spawn-depth 2] [--deadline-ms 5000] \
 //!     [--fail-fast]
 //! cargo run -p bench --release --bin annotate -- --dir fixtures \
-//!     [--jobs 4] [--strategy path] [--no-memo] [--no-liveness] \
+//!     [--jobs 4] [--strategy path] [--no-liveness] \
 //!     [--deadline-ms 5000] [--fail-fast]
 //! cargo run -p bench --release --bin annotate -- --passes --file prog.s
 //! cargo run -p bench --release --bin annotate -- --passes --dir fixtures
@@ -44,15 +44,13 @@
 
 use std::io::Read;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use bench::cli::Args;
 use ebpf::asm::assemble;
 use ebpf::Program;
 use verifier::passes::{solve, ReachingDefs};
 use verifier::{
-    AnalyzerOptions, Cfg, DegradationPolicy, ProgramPasses, Strategy, TransferMemo,
-    VerificationSession,
+    AnalyzerOptions, Cfg, DegradationPolicy, ProgramPasses, Strategy, VerificationSession,
 };
 
 fn main() -> ExitCode {
@@ -109,11 +107,7 @@ fn main() -> ExitCode {
         visited_cap: args
             .get_u64("visited-cap", u64::from(defaults.visited_cap))
             .min(u64::from(u32::MAX)) as u32,
-        memo_cache: if args.has("no-memo") {
-            None
-        } else {
-            Some(Arc::new(TransferMemo::new()))
-        },
+        memo_cache: None,
         liveness_pruning: !args.has("no-liveness"),
         explore_jobs: args
             .get_u64("explore-jobs", u64::from(defaults.explore_jobs))
@@ -412,13 +406,6 @@ fn run_dir(session: &VerificationSession, dir: &str, jobs: usize) -> ExitCode {
         stats.jobs,
         stats.inner_jobs,
         stats.jobs * stats.inner_jobs
-    );
-    println!(
-        "memo: {} hits / {} misses ({:.1}% hit rate), {} evicted",
-        stats.memo_hits,
-        stats.memo_misses,
-        stats.memo_hit_rate() * 100.0,
-        stats.memo_evicted
     );
     if stats.deadline_exceeded + stats.internal_faults > 0 || stats.degradations > 0 {
         println!(

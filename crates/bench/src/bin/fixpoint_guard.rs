@@ -23,8 +23,9 @@
 //!   defeats checkpoint cleaning or the strict-budget-0 masked probe
 //!   (so masked states stop fingerprinting equally) fails CI;
 //! * **`memo_hits`** (absolute total): the transfer-memo counters the
-//!   sweep reports deterministically — a change that silently disables
-//!   or misses the cache fails CI;
+//!   sweep reports deterministically (every suite session turns the
+//!   opt-in memo on) — a change that silently disables or misses the
+//!   cache fails CI;
 //! * **`maps/` family `subset_checks`** (absolute total over the
 //!   family's rows): helper transfers are never memoized, so the
 //!   map-helper workloads pay full per-visit cost — a change that makes
@@ -74,7 +75,7 @@ use std::process::ExitCode;
 use bench::cli::Args;
 use bench::fixpoint_suite;
 use bench::table;
-use verifier::VerificationSession;
+use verifier::{AnalyzerOptions, Strategy};
 
 /// Allowed regression over the committed baseline, in percent — applied
 /// to the allocation total, the pruned-state ratio, and the deep-unroll
@@ -376,7 +377,11 @@ fn main() -> ExitCode {
     let batch = fixpoint_suite::throughput_batch();
     let rate = (0..3)
         .map(|_| {
-            let report = VerificationSession::new().run_batch(&batch, THROUGHPUT_GATE_JOBS);
+            let report = fixpoint_suite::suite_session(
+                Strategy::WideningFixpoint,
+                AnalyzerOptions::default(),
+            )
+            .run_batch(&batch, THROUGHPUT_GATE_JOBS);
             assert_eq!(report.stats.rejected, 0, "throughput batch stays safe");
             report.stats.programs_per_sec()
         })
@@ -402,10 +407,13 @@ fn main() -> ExitCode {
     // require the rate to stay within GOVERNANCE_TOLERANCE_PERCENT% of
     // the ungoverned rate just measured on this same runner. Best of
     // five runs to shave scheduler noise under the tight budget.
-    let governed_session = VerificationSession::new().with_options(verifier::AnalyzerOptions {
-        deadline: Some(std::time::Duration::from_secs(30)),
-        ..verifier::AnalyzerOptions::default()
-    });
+    let governed_session = fixpoint_suite::suite_session(
+        Strategy::WideningFixpoint,
+        AnalyzerOptions {
+            deadline: Some(std::time::Duration::from_secs(30)),
+            ..AnalyzerOptions::default()
+        },
+    );
     let governed = (0..5)
         .map(|_| {
             let report = governed_session.run_batch(&batch, THROUGHPUT_GATE_JOBS);
@@ -452,13 +460,14 @@ fn main() -> ExitCode {
             fixpoint_suite::PARSHARD_TRIPS,
         );
         let time_at = |jobs: usize| -> f64 {
-            let session = VerificationSession::new()
-                .with_strategy(verifier::Strategy::PathParallel)
-                .with_options(verifier::AnalyzerOptions {
+            let session = fixpoint_suite::suite_session(
+                Strategy::PathParallel,
+                AnalyzerOptions {
                     unroll_k: fixpoint_suite::PARSHARD_TRIPS.max(64),
                     explore_jobs: u32::try_from(jobs).expect("small"),
-                    ..verifier::AnalyzerOptions::default()
-                });
+                    ..AnalyzerOptions::default()
+                },
+            );
             (0..3)
                 .map(|_| {
                     let start = std::time::Instant::now();

@@ -14,9 +14,28 @@
 //! Keeping the sweep definition in one place guarantees the guard checks
 //! exactly the configurations the committed baseline was produced from.
 
+use std::sync::Arc;
+
 use ebpf::asm::assemble;
 use ebpf::Program;
-use verifier::{AnalysisStats, AnalyzerOptions, BatchStats, Strategy, VerificationSession};
+use verifier::{
+    AnalysisStats, AnalyzerOptions, BatchStats, Strategy, TransferMemo, VerificationSession,
+};
+
+/// The session every suite configuration runs: `strategy` under
+/// `options`, with a fresh transfer memo turned on. The memo is off by
+/// default, but the committed `BENCH_PR10.json` baseline was recorded
+/// with it on; turning it on here keeps every row like-for-like with
+/// that baseline, `fixpoint_guard`'s memo-hit gate included.
+#[must_use]
+pub fn suite_session(strategy: Strategy, options: AnalyzerOptions) -> VerificationSession {
+    VerificationSession::new()
+        .with_strategy(strategy)
+        .with_options(AnalyzerOptions {
+            memo_cache: Some(Arc::new(TransferMemo::new())),
+            ..options
+        })
+}
 
 /// A memset-style loop over a 16-byte buffer with a masked index, safe
 /// for every trip count; `trips` only changes how long the counter
@@ -294,7 +313,8 @@ pub fn throughput_rows() -> Vec<(String, BatchStats)> {
     THROUGHPUT_JOBS
         .iter()
         .map(|&jobs| {
-            let report = VerificationSession::new().run_batch(&batch, jobs);
+            let report = suite_session(Strategy::WideningFixpoint, AnalyzerOptions::default())
+                .run_batch(&batch, jobs);
             assert_eq!(
                 report.stats.rejected, 0,
                 "throughput batch programs are all safe"
@@ -336,24 +356,26 @@ pub fn parshard_configs(depth: u32, trips: u32) -> Vec<(String, Program, Verific
         out.push((
             parshard_label("branchy_tree", jobs),
             branchy_tree(depth, trips),
-            VerificationSession::new()
-                .with_strategy(Strategy::PathParallel)
-                .with_options(AnalyzerOptions {
+            suite_session(
+                Strategy::PathParallel,
+                AnalyzerOptions {
                     unroll_k: trips.max(64),
                     explore_jobs: jobs as u32,
                     ..AnalyzerOptions::default()
-                }),
+                },
+            ),
         ));
         out.push((
             parshard_label("deep_unroll", jobs),
             masked_memset(1024),
-            VerificationSession::new()
-                .with_strategy(Strategy::PathParallel)
-                .with_options(AnalyzerOptions {
+            suite_session(
+                Strategy::PathParallel,
+                AnalyzerOptions {
                     unroll_k: 1024,
                     explore_jobs: jobs as u32,
                     ..AnalyzerOptions::default()
-                }),
+                },
+            ),
         ));
     }
     out
@@ -405,22 +427,26 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
             out.push((
                 format!("fixpoint/trips={trips}/delay={delay}"),
                 prog.clone(),
-                VerificationSession::new().with_options(AnalyzerOptions {
-                    widen_delay: delay,
-                    ..AnalyzerOptions::default()
-                }),
+                suite_session(
+                    Strategy::WideningFixpoint,
+                    AnalyzerOptions {
+                        widen_delay: delay,
+                        ..AnalyzerOptions::default()
+                    },
+                ),
             ));
         }
         for &unroll in &UNROLLS {
             out.push((
                 format!("path/trips={trips}/unroll={unroll}"),
                 prog.clone(),
-                VerificationSession::new()
-                    .with_strategy(Strategy::PathSensitive)
-                    .with_options(AnalyzerOptions {
+                suite_session(
+                    Strategy::PathSensitive,
+                    AnalyzerOptions {
                         unroll_k: unroll,
                         ..AnalyzerOptions::default()
-                    }),
+                    },
+                ),
             ));
         }
     }
@@ -431,13 +457,14 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
         out.push((
             format!("path/trips=1024/unroll=64/cap={cap}"),
             masked_memset(1024),
-            VerificationSession::new()
-                .with_strategy(Strategy::PathSensitive)
-                .with_options(AnalyzerOptions {
+            suite_session(
+                Strategy::PathSensitive,
+                AnalyzerOptions {
                     unroll_k: 64,
                     visited_cap: cap,
                     ..AnalyzerOptions::default()
-                }),
+                },
+            ),
         ));
     }
     // Liveness-masking ablation: the same deep-unroll configuration with
@@ -447,21 +474,25 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
     out.push((
         "path/trips=1024/unroll=64/masking=off".to_string(),
         masked_memset(1024),
-        VerificationSession::new()
-            .with_strategy(Strategy::PathSensitive)
-            .with_options(AnalyzerOptions {
+        suite_session(
+            Strategy::PathSensitive,
+            AnalyzerOptions {
                 unroll_k: 64,
                 liveness_pruning: false,
                 ..AnalyzerOptions::default()
-            }),
+            },
+        ),
     ));
     out.push((
         "fixpoint/trips=1024/delay=16/masking=off".to_string(),
         masked_memset(1024),
-        VerificationSession::new().with_options(AnalyzerOptions {
-            liveness_pruning: false,
-            ..AnalyzerOptions::default()
-        }),
+        suite_session(
+            Strategy::WideningFixpoint,
+            AnalyzerOptions {
+                liveness_pruning: false,
+                ..AnalyzerOptions::default()
+            },
+        ),
     ));
     // The dead-scratch loop, masked vs unmasked: per-trip arrivals at
     // the join differ only in the dead scratch register, so the masked
@@ -474,19 +505,20 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
                 if masking { "" } else { "/masking=off" }
             ),
             dead_scratch_loop(64),
-            VerificationSession::new()
-                .with_strategy(Strategy::PathSensitive)
-                .with_options(AnalyzerOptions {
+            suite_session(
+                Strategy::PathSensitive,
+                AnalyzerOptions {
                     liveness_pruning: masking,
                     ..AnalyzerOptions::default()
-                }),
+                },
+            ),
         ));
     }
     let pruning = two_back_edge();
     out.push((
         "fixpoint/two_back_edge".to_string(),
         pruning.clone(),
-        VerificationSession::new(),
+        suite_session(Strategy::WideningFixpoint, AnalyzerOptions::default()),
     ));
     for &unroll in &[4u32, 32] {
         // Below the 13 trips (fallback widening + summary pruning) and
@@ -494,12 +526,13 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
         out.push((
             format!("path/two_back_edge/unroll={unroll}"),
             pruning.clone(),
-            VerificationSession::new()
-                .with_strategy(Strategy::PathSensitive)
-                .with_options(AnalyzerOptions {
+            suite_session(
+                Strategy::PathSensitive,
+                AnalyzerOptions {
                     unroll_k: unroll,
                     ..AnalyzerOptions::default()
-                }),
+                },
+            ),
         ));
     }
     // The spill-heavy workload: loop-carried spills in two different
@@ -509,17 +542,18 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
     out.push((
         "fixpoint/spill_loop/trips=64".to_string(),
         spills.clone(),
-        VerificationSession::new(),
+        suite_session(Strategy::WideningFixpoint, AnalyzerOptions::default()),
     ));
     out.push((
         "path/spill_loop/trips=64/unroll=16".to_string(),
         spills,
-        VerificationSession::new()
-            .with_strategy(Strategy::PathSensitive)
-            .with_options(AnalyzerOptions {
+        suite_session(
+            Strategy::PathSensitive,
+            AnalyzerOptions {
                 unroll_k: 16,
                 ..AnalyzerOptions::default()
-            }),
+            },
+        ),
     ));
     out.extend(maps_configs());
     out
@@ -537,28 +571,29 @@ pub fn maps_configs() -> Vec<(String, Program, VerificationSession)> {
     out.push((
         "maps/filter/fixpoint".to_string(),
         map_filter(),
-        VerificationSession::new(),
+        suite_session(Strategy::WideningFixpoint, AnalyzerOptions::default()),
     ));
     out.push((
         "maps/filter/path".to_string(),
         map_filter(),
-        VerificationSession::new().with_strategy(Strategy::PathSensitive),
+        suite_session(Strategy::PathSensitive, AnalyzerOptions::default()),
     ));
     for &(trips, unroll) in &[(8u32, 16u32), (64, 64)] {
         out.push((
             format!("maps/update_loop/trips={trips}/fixpoint"),
             map_update_loop(trips),
-            VerificationSession::new(),
+            suite_session(Strategy::WideningFixpoint, AnalyzerOptions::default()),
         ));
         out.push((
             format!("maps/update_loop/trips={trips}/path/unroll={unroll}"),
             map_update_loop(trips),
-            VerificationSession::new()
-                .with_strategy(Strategy::PathSensitive)
-                .with_options(AnalyzerOptions {
+            suite_session(
+                Strategy::PathSensitive,
+                AnalyzerOptions {
                     unroll_k: unroll,
                     ..AnalyzerOptions::default()
-                }),
+                },
+            ),
         ));
     }
     out
@@ -918,7 +953,8 @@ mod tests {
         assert!(lens.len() > 1, "batch must mix workload shapes: {lens:?}");
         // A slice through the batched engine: every program accepted,
         // and the shared cache sees cross-program hits.
-        let report = VerificationSession::new().run_batch(&batch[..8], 2);
+        let report = suite_session(Strategy::WideningFixpoint, AnalyzerOptions::default())
+            .run_batch(&batch[..8], 2);
         assert_eq!(report.stats.accepted, 8, "{:?}", report.stats);
         assert!(report.stats.memo_hits > 0, "{:?}", report.stats);
     }

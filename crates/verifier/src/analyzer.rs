@@ -90,8 +90,10 @@ pub struct AnalyzerOptions {
     /// shared — across the programs of a [`batch`](crate::batch) run
     /// when sessions share one `Arc` — with full operand equality
     /// verified before every reuse, so hits can never change a verdict.
-    /// `Some` (a fresh cache) by default; `None` disables memoization
-    /// entirely (for ablations and differential tests).
+    /// `None` (no memoization) by default: lookups and inserts cost
+    /// more than the tnum/bounds arithmetic they save, even where most
+    /// lookups hit (see [`crate::memo`]). `Some` opts in; every session
+    /// and batch worker holding the same `Arc` then shares its entries.
     pub memo_cache: Option<Arc<TransferMemo>>,
     /// Liveness-aware state pruning (on by default): run the
     /// [`crate::passes`] framework before exploration and *clean* dead
@@ -150,7 +152,7 @@ impl Default for AnalyzerOptions {
             analysis_budget: 1_000_000,
             unroll_k: 32,
             visited_cap: 32,
-            memo_cache: Some(Arc::new(TransferMemo::new())),
+            memo_cache: None,
             liveness_pruning: true,
             explore_jobs: 0,
             spawn_depth: 2,

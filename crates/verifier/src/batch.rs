@@ -15,11 +15,13 @@
 //!   cheap acyclic programs immediately steals the remaining loopy
 //!   ones. Analysis costs within one batch differ by orders of
 //!   magnitude, which is exactly when static chunking idles.
-//! * **Cross-program memoization.** All programs share the session's
-//!   [`TransferMemo`](crate::memo::TransferMemo) (on by default): pure
-//!   scalar transfer results computed while verifying one program are
-//!   reused by every other, with full operand equality checked before
-//!   each reuse.
+//! * **Cross-program memoization, when asked for.** A session that
+//!   sets [`AnalyzerOptions::memo_cache`](crate::AnalyzerOptions::memo_cache)
+//!   (off by default) shares its
+//!   [`TransferMemo`](crate::memo::TransferMemo) with every worker:
+//!   pure scalar transfer results computed while verifying one program
+//!   are reused by every other, with full operand equality checked
+//!   before each reuse.
 //!
 //! The entry point is [`VerificationSession::run_batch`], which runs
 //! every program under one session's options, strategy, and
@@ -74,7 +76,8 @@ pub struct BatchStats {
     /// roll-up.
     pub per_worker_visits: Vec<u64>,
     /// Memo-cache hits across all workers: accepted and rejected runs,
-    /// and every strategy a degraded program tried.
+    /// and every strategy a degraded program tried. Zero unless the
+    /// session has a memo cache.
     pub memo_hits: u64,
     /// Memo-cache misses across all workers.
     pub memo_misses: u64,
@@ -187,13 +190,13 @@ impl VerificationSession {
     /// (programs/sec, per-worker distribution, memo traffic).
     ///
     /// Every program runs under this session's options, strategy, and
-    /// degradation policy; in particular all workers share the
-    /// session's [`AnalyzerOptions::memo_cache`](crate::AnalyzerOptions::memo_cache),
-    /// so scalar transfer results computed for one program are reused
-    /// by the others. Parallelism is program-granular (abstract states
-    /// are `Rc`-backed and never cross threads); workers claim programs
-    /// from a shared queue, so a worker that drew cheap programs steals
-    /// the remaining ones.
+    /// degradation policy. Workers share a transfer memo only when the
+    /// session has one ([`AnalyzerOptions::memo_cache`](crate::AnalyzerOptions::memo_cache),
+    /// off by default); scalar transfer results computed for one
+    /// program are then reused by the others. Parallelism is
+    /// program-granular (abstract states are `Rc`-backed and never
+    /// cross threads); workers claim programs from a shared queue, so a
+    /// worker that drew cheap programs steals the remaining ones.
     ///
     /// # Examples
     ///
@@ -307,12 +310,21 @@ impl VerificationSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AnalyzerOptions;
+    use crate::{AnalyzerOptions, TransferMemo};
     use ebpf::asm::assemble;
     use ebpf::Reg;
+    use std::sync::Arc;
 
     fn progs(srcs: &[&str]) -> Vec<Program> {
         srcs.iter().map(|s| assemble(s).unwrap()).collect()
+    }
+
+    /// A session with the (opt-in) transfer memo turned on.
+    fn memo_session() -> VerificationSession {
+        VerificationSession::new().with_options(AnalyzerOptions {
+            memo_cache: Some(Arc::new(TransferMemo::new())),
+            ..AnalyzerOptions::default()
+        })
     }
 
     #[test]
@@ -376,21 +388,7 @@ mod tests {
         let report = session.run_batch(std::slice::from_ref(&prog), 1);
         let batched = report.results[0].as_ref().unwrap();
         assert_eq!(batched.strategy(), direct.strategy());
-        // The session's memo cache is shared across runs, so the second
-        // run hits where the first missed; every other counter (and all
-        // verdict-relevant output below) must be identical.
-        let neutral = |mut s: crate::AnalysisStats| {
-            s.memo_hits = 0;
-            s.memo_misses = 0;
-            s.memo_evicted = 0;
-            s
-        };
-        assert_eq!(neutral(batched.stats()), neutral(direct.stats()));
-        assert_eq!(
-            batched.stats().memo_hits + batched.stats().memo_misses,
-            direct.stats().memo_hits + direct.stats().memo_misses,
-            "memo traffic volume matches even when hit/miss split differs"
-        );
+        assert_eq!(batched.stats(), direct.stats());
         for pc in 0..prog.len() {
             match (direct.state_before(pc), batched.state_before(pc)) {
                 (None, None) => {}
@@ -443,7 +441,7 @@ mod tests {
         // Two identical programs through one session: on jobs=1 the
         // second run must hit the entries the first one inserted.
         let batch = progs(&["r2 = 5\nr2 += 3\nr2 *= 2\nr0 = r2\nexit"; 2]);
-        let report = VerificationSession::new().run_batch(&batch, 1);
+        let report = memo_session().run_batch(&batch, 1);
         assert!(
             report.stats.memo_hits > 0,
             "second program reuses the first's transfer results: {:?}",
@@ -462,7 +460,7 @@ mod tests {
         // scalar×scalar ALU, no scalar branch. The second identical
         // program must hit the first one's cached region verdict.
         let batch = progs(&["r3 = 1\n*(u64 *)(r10 - 8) = r3\nr0 = 0\nexit"; 2]);
-        let report = VerificationSession::new().run_batch(&batch, 1);
+        let report = memo_session().run_batch(&batch, 1);
         assert!(
             report.stats.memo_hits > 0,
             "second program reuses the first's region-check verdict: {:?}",

@@ -85,13 +85,15 @@ pub struct AnalysisStats {
     pub bytes_materialized: u64,
     /// Transfer memo cache lookups served from a verified entry
     /// (operand equality confirmed — see [`crate::memo::TransferMemo`]).
-    /// Zero when [`AnalyzerOptions::memo_cache`] is `None`.
+    /// Zero when [`AnalyzerOptions::memo_cache`] is `None`, the
+    /// default.
     pub memo_hits: u64,
     /// Transfer memo cache lookups that found no entry (or only a
     /// colliding one with different operands) and computed afresh.
+    /// Zero without a memo cache, like the other two memo fields.
     pub memo_misses: u64,
     /// Transfer memo entries this run's inserts displaced through the
-    /// per-shard capacity caps.
+    /// per-shard capacity caps. Zero without a memo cache.
     pub memo_evicted: u64,
     /// Arrivals pruned through the liveness-masked visited probe
     /// ([`crate::VisitedTable::is_covered_masked`]) — the pruning wins

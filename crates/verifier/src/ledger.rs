@@ -103,6 +103,7 @@ mod tests {
     };
     use ebpf::asm::assemble;
     use ebpf::{AluOp, Width};
+    use std::sync::Arc;
 
     #[test]
     fn since_reads_the_delta_and_credit_adds_to_it() {
@@ -161,12 +162,14 @@ mod tests {
         ",
         )
         .expect("assembles");
-        // A fresh session (and so a fresh memo) per run; one explorer
-        // job keeps the parallel strategy's counters deterministic.
+        // A fresh session with a fresh (opt-in) memo per run; one
+        // explorer job keeps the parallel strategy's counters
+        // deterministic.
         let run = |strategy: Strategy| {
             VerificationSession::new()
                 .with_options(AnalyzerOptions {
                     explore_jobs: 1,
+                    memo_cache: Some(Arc::new(TransferMemo::new())),
                     ..AnalyzerOptions::default()
                 })
                 .with_strategy(strategy)

@@ -37,12 +37,22 @@
 //! and each shard evicts oldest-first past its cap — the same bounded
 //! "LRU-ish" hygiene as the visited table's chain cap.
 //!
+//! The memo is opt-in: [`AnalyzerOptions::memo_cache`](crate::AnalyzerOptions::memo_cache)
+//! is `None` by default. A lookup (a shard lock, a hash, and an exact
+//! operand comparison) costs about as much as the scalar transfer it
+//! replaces, every miss adds an insert, and a full table's memory
+//! competes with the abstract states for cache. Measured end to end,
+//! verification is faster without it whether a memo hits one lookup in
+//! 340 (a fresh memo per loop-free ALU program) or 99 in 100 (one memo
+//! shared while re-verifying loopy programs).
+//!
 //! Per-run traffic is counted in the thread-local counter ledger the
 //! exploration engines read their
 //! [`AnalysisStats`](crate::AnalysisStats) from
 //! (`memo_hits` / `memo_misses` / `memo_evicted`).
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::sync::Mutex;
 
 use domain::parallel::lock_recover;
@@ -147,7 +157,7 @@ pub enum MemoEffect {
 
 /// One cached computation: the *exact* operands (for collision-proof
 /// verification on lookup) and the effect they produced.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 struct MemoEntry {
     lhs: Scalar,
     rhs: Scalar,
@@ -156,7 +166,7 @@ struct MemoEntry {
 
 /// One locked shard: the key → entry map plus insertion order for
 /// oldest-first eviction.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Shard {
     map: HashMap<MemoKey, MemoEntry>,
     order: VecDeque<MemoKey>,
@@ -169,10 +179,19 @@ struct Shard {
 /// Thread-safe: shards are `Mutex`-protected and selected by key hash,
 /// so workers verifying different programs contend only when they touch
 /// the same shard at the same instant.
-#[derive(Debug)]
 pub struct TransferMemo {
     shards: [Mutex<Shard>; SHARDS],
     shard_cap: usize,
+}
+
+/// A summary, not a dump: a warm cache holds thousands of entries.
+impl fmt::Debug for TransferMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TransferMemo")
+            .field("len", &self.len())
+            .field("shard_cap", &self.shard_cap)
+            .finish()
+    }
 }
 
 impl Default for TransferMemo {
@@ -363,6 +382,19 @@ mod tests {
             ledger::since(start).memo_evicted > 0,
             "overflow evicted oldest entries"
         );
+    }
+
+    #[test]
+    fn debug_summarizes_instead_of_dumping_entries() {
+        let memo = TransferMemo::new();
+        for i in 0..2000 {
+            let key = MemoKey::alu(Width::W64, AluOp::Add, i, i + 1);
+            memo.insert(key, s(i), s(i + 1), MemoEffect::Alu(s(2 * i + 1)));
+        }
+        assert!(memo.len() > 1000, "{}", memo.len());
+        let shown = format!("{memo:?}");
+        assert!(shown.len() < 200, "{} bytes: {shown}", shown.len());
+        assert!(shown.contains(&memo.len().to_string()), "{shown}");
     }
 
     #[test]

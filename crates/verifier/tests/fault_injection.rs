@@ -300,6 +300,10 @@ fn batch_counters_include_abandoned_ladder_rungs() {
     let report = {
         let _guard = failpoint::install(FaultPlan::new().panic_at(FaultSite::PathVisit, 12));
         VerificationSession::new()
+            .with_options(AnalyzerOptions {
+                memo_cache: Some(Arc::new(TransferMemo::new())),
+                ..AnalyzerOptions::default()
+            })
             .with_strategy(Strategy::PathSensitive)
             .run_batch(&progs, 1)
     };
