@@ -182,7 +182,10 @@ impl ExplorationStrategy for WideningFixpoint {
 ///    [`AnalyzerOptions::visited_cap`] chain cap;
 /// 3. joins the arrival into the per-pc reported state (so
 ///    [`Analysis::state_before`](crate::Analysis::state_before) is the
-///    join over explored paths), then steps the transfer layer and
+///    join over explored paths) — an arrival the report already covers,
+///    the common case once a pc has seen a few paths, costs one
+///    early-exit inclusion scan inside [`AbsState::flow_join`] and
+///    leaves the report untouched — then steps the transfer layer and
 ///    pushes every successor contribution with an O(1) state clone.
 ///
 /// Termination: acyclic path segments are finite, every cycle passes a

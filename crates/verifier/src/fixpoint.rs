@@ -49,6 +49,9 @@ pub struct AnalysisStats {
     pub states_shared: u64,
     /// Joins/inclusion checks that resolved a whole component (register
     /// file or stack frame) by pointer identity without pointwise work.
+    /// A `flow_join` whose operand the accumulator already covers
+    /// returns before any component is looked at, so covered joins do
+    /// not count here.
     pub joins_short_circuited: u64,
     /// Widening operator applications to individual registers or stack
     /// slots at loop heads.
@@ -82,6 +85,8 @@ pub struct AnalysisStats {
     /// Bytes copied by all state materializations (register files,
     /// stack chunks, and chunk spines) — the working-set proxy showing
     /// what chunked copy-on-write frames save over whole-frame copies.
+    /// A `flow_join` of a covered operand materializes nothing, so it
+    /// adds nothing here.
     pub bytes_materialized: u64,
     /// Transfer memo cache lookups served from a verified entry
     /// (operand equality confirmed — see [`crate::memo::TransferMemo`]).
@@ -298,16 +303,12 @@ pub fn run(
                     true
                 }
                 Some(existing) => {
-                    if out.is_subset_of(existing) {
-                        false
-                    } else {
-                        let widen = cfg.is_loop_head(succ).then(|| WidenCtx {
-                            counters: counters[succ].get_or_insert_with(Default::default),
-                            delay: options.widen_delay,
-                            thresholds: &thresholds,
-                        });
-                        existing.flow_join(&out, widen)
-                    }
+                    let widen = cfg.is_loop_head(succ).then(|| WidenCtx {
+                        counters: counters[succ].get_or_insert_with(Default::default),
+                        delay: options.widen_delay,
+                        thresholds: &thresholds,
+                    });
+                    existing.flow_join(&out, widen)
                 }
             };
             if changed && !queued[succ] {

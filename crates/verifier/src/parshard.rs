@@ -28,10 +28,12 @@
 //!   with children visited in *reverse spawn order* — exactly the
 //!   sequential DFS ordering of the same subtrees — so the global fold
 //!   regroups, but never reorders, the sequential fold. `Scalar::union`
-//!   is insensitive to such regrouping at the representation level
-//!   (`flow_join` with a covered operand is the identity on the
-//!   accumulator's representation), which the `parallel_explore` fuzz
-//!   lock enforces across the whole options matrix.
+//!   is insensitive to such regrouping at the representation level:
+//!   `flow_join` with a covered operand is the identity on the
+//!   accumulator's representation by construction (it returns after its
+//!   inclusion scan, before touching anything), and the
+//!   `parallel_explore` fuzz lock enforces the rest across the whole
+//!   options matrix.
 //! * **Back edges never spawn.** Every lap of a cycle stays inside the
 //!   job that entered it, so job-local loop summaries widen and
 //!   stabilize exactly like the sequential head summaries, and the

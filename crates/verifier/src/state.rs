@@ -13,6 +13,9 @@
 //!   letting [`AbsState::is_subset_of`], [`AbsState::union`], and
 //!   [`AbsState::flow_join`] short-circuit whole components on
 //!   `Rc::ptr_eq` before falling into pointwise lattice operations.
+//!   `flow_join` goes one step further: an operand the accumulator
+//!   already covers returns after one inclusion scan, so a covered join
+//!   copies, re-fingerprints and counts nothing.
 //! * **Chunking.** The 64-slot stack frame is not one array but
 //!   [`STACK_CHUNKS`] independently-`Rc`'d chunks of [`CHUNK_SLOTS`]
 //!   slots behind a small shared spine, so a single spill materializes
@@ -685,7 +688,17 @@ impl AbsState {
     /// and harvested interval thresholds while components that already
     /// stabilized are left untouched. Components (and chunks) equal by
     /// `Rc` identity short-circuit without any pointwise work.
+    ///
+    /// A *covered* operand (`incoming ⊑ self`, so `self ⊔ incoming =
+    /// self`) returns `false` after one early-exit inclusion scan,
+    /// before anything is materialized or counted: the accumulator's
+    /// representation — its `Rc`s, fingerprints, generations — the
+    /// widening counters and the counter ledger are all left exactly as
+    /// they were. Callers therefore need no inclusion guard of their own.
     pub fn flow_join(&mut self, incoming: &AbsState, widen: Option<WidenCtx<'_>>) -> bool {
+        if incoming.is_subset_of(self) {
+            return false;
+        }
         // Split the widening context into per-component halves so each
         // array flows with its own counters.
         let (regs_widen, stack_widen) = match widen {
@@ -957,6 +970,10 @@ fn flow_cells<T: Component, const N: usize>(
     for i in 0..N {
         let cur = dst.vals[i];
         let incoming = inc.vals[i];
+        // `==` is implied by the reflexive `is_subset_of`, but most
+        // components of a growing join are unchanged, and the equality
+        // test settles those faster (measured on `deep_paths`, EXPERIMENTS
+        // E25).
         if incoming == cur || incoming.is_subset_of(cur) {
             continue;
         }
@@ -1004,10 +1021,13 @@ fn frame_spine_mut(rc: &mut Rc<Frame>) -> &mut Frame {
 
 /// The frame half of [`AbsState::flow_join`]: flows chunk by chunk, with
 /// `Rc` identity short-circuits per chunk, slicing the slot counters to
-/// each chunk's window. The spine is materialized up front once any
-/// chunk pair differs by pointer — a deliberate trade against re-scanning
-/// every chunk twice (the copy is the pointer array, a few dozen bytes,
-/// even when the flow then turns out to change nothing).
+/// each chunk's window. A covered operand never gets here
+/// ([`AbsState::flow_join`] returns first), so the spine is only
+/// materialized when the state as a whole grows; it is then copied up
+/// front once any chunk pair differs by pointer — a deliberate trade
+/// against re-scanning every chunk twice (the copy is the pointer array,
+/// a few dozen bytes, even when only the registers grew and the frame
+/// itself changes nothing).
 fn flow_frame(
     dst: &mut Rc<Frame>,
     inc: &Rc<Frame>,
@@ -1209,6 +1229,44 @@ mod tests {
         assert!(head.flow_join(&incoming, None));
         let r3 = head.reg(Reg::R3).as_scalar().unwrap();
         assert!(r3.contains(0) && r3.contains(1));
+    }
+
+    #[test]
+    fn covered_flow_join_leaves_the_accumulator_untouched() {
+        let wide =
+            RegValue::Scalar(Scalar::constant(0)).union(RegValue::Scalar(Scalar::constant(3)));
+        let mut acc = AbsState::entry();
+        acc.set_reg(Reg::R3, wide);
+        acc.set_stack_slot(-8, StackSlot::Spill(wide));
+        // Covered, but through its own register file and its own copy of
+        // the chunk holding slot -8, so no identity short-circuit applies.
+        let mut incoming = acc.clone();
+        incoming.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(1)));
+        incoming.set_stack_slot(-8, StackSlot::Spill(RegValue::Scalar(Scalar::constant(2))));
+        assert!(incoming.is_subset_of(&acc));
+        assert_eq!(acc.shared_stack_chunks(&incoming), STACK_CHUNKS - 1);
+
+        let before = acc.clone();
+        let th = WidenThresholds::EMPTY;
+        let mut counters = JoinCounters::new();
+        for widen in [false, true] {
+            let start = ledger::snapshot();
+            let ctx = widen.then_some(WidenCtx {
+                counters: &mut counters,
+                delay: 0,
+                thresholds: &th,
+            });
+            assert!(!acc.flow_join(&incoming, ctx), "widen: {widen}");
+            let delta = ledger::since(start);
+            assert!(acc.shares_regs_with(&before), "widen: {widen}");
+            assert!(acc.shares_stack_with(&before), "widen: {widen}");
+            assert_eq!(
+                (delta.states_allocated, delta.bytes_materialized),
+                (0, 0),
+                "widen: {widen}"
+            );
+            assert_eq!(counters, JoinCounters::new(), "widen: {widen}");
+        }
     }
 
     #[test]

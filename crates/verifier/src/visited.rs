@@ -263,7 +263,7 @@ fn count_insert(checks: u64, evicted: u64) {
 /// Notes a prune that happened outside the tables — a path explorer's
 /// loop-head summary covering an arrival without a chain probe — so the
 /// `states_pruned`/`subset_checks` ledger stays complete (the cover was
-/// established by one inclusion-shaped `flow_join`).
+/// established by the inclusion scan `flow_join` opens with).
 pub(crate) fn note_summary_prune() {
     count_probe(1, 0, true);
 }

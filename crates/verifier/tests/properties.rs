@@ -7,8 +7,10 @@
 #![allow(clippy::manual_checked_ops)]
 use domain::rng::SplitMix64;
 use ebpf::{AluOp, JmpOp, Reg, Width};
+use interval_domain::WidenThresholds;
 use tnum::Tnum;
-use verifier::{AbsState, RegValue, Scalar, StackSlot};
+use verifier::state::WidenCtx;
+use verifier::{AbsState, JoinCounters, RegValue, Scalar, StackSlot};
 
 const CASES: u32 = 256;
 
@@ -254,6 +256,34 @@ fn state_inclusion_is_reflexive_and_union_absorbed() {
         // pure waste, which is exactly why pruning is safe to do.
         let jj = j.union(&a);
         assert!(jj.is_subset_of(&j) && j.is_subset_of(&jj), "absorption");
+    }
+}
+
+#[test]
+fn flow_join_of_a_covered_operand_is_the_identity() {
+    let mut rng = SplitMix64::new(0x52);
+    let th = WidenThresholds::EMPTY;
+    for _ in 0..CASES {
+        let (a, _) = state_and_members(&mut rng);
+        let (b, _) = state_and_members(&mut rng);
+        let j = a.union(&b);
+        for widen in [false, true] {
+            let mut counters = JoinCounters::new();
+            let mut acc = j.clone();
+            let grew = acc.flow_join(
+                &b,
+                widen.then_some(WidenCtx {
+                    counters: &mut counters,
+                    delay: 0,
+                    thresholds: &th,
+                }),
+            );
+            assert!(!grew, "b ⊑ a ⊔ b cannot grow it (widen: {widen})");
+            assert_eq!(acc, j, "widen: {widen}");
+            assert_eq!(acc.fingerprint(), j.fingerprint(), "widen: {widen}");
+            assert!(acc.shares_regs_with(&j) && acc.shares_stack_with(&j));
+            assert_eq!(counters, JoinCounters::new(), "widen: {widen}");
+        }
     }
 }
 
