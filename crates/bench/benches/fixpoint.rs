@@ -23,7 +23,7 @@
 //! Run with: `cargo bench -p bench --bench fixpoint`
 //!
 //! Set `BENCH_JSON=path.json` to also write the machine-readable
-//! baseline (`BENCH_PR9.json` in the repo root is the committed one).
+//! baseline (`BENCH_PR10.json` in the repo root is the committed one).
 
 use bench::fixpoint_suite;
 use bench::harness::Group;

@@ -1,5 +1,5 @@
 //! Benchmarks of the end-to-end substrate: assembling, verifying (with
-//! and without branch refinement — an ablation from DESIGN.md), and
+//! and without branch refinement — the `refine_branches` ablation), and
 //! concretely executing representative programs.
 //!
 //! Run with: `cargo bench -p bench --bench verifier`
@@ -7,7 +7,7 @@
 use bench::harness::Group;
 use ebpf::asm::assemble;
 use ebpf::{Program, Vm};
-use verifier::{Analyzer, AnalyzerOptions};
+use verifier::{AnalyzerOptions, VerificationSession};
 
 fn sample_programs() -> Vec<(&'static str, Program)> {
     let masked_index = assemble(
@@ -70,15 +70,13 @@ fn bench_analyze() {
     let programs = sample_programs();
     let mut group = Group::new("verifier_analyze");
     for (name, prog) in &programs {
-        let refined = Analyzer::new(AnalyzerOptions::default());
-        group.bench(&format!("refined/{name}"), || refined.analyze(prog).is_ok());
-        let unrefined = Analyzer::new(AnalyzerOptions {
+        let refined = VerificationSession::new();
+        group.bench(&format!("refined/{name}"), || refined.run(prog).is_ok());
+        let unrefined = VerificationSession::new().with_options(AnalyzerOptions {
             refine_branches: false,
             ..AnalyzerOptions::default()
         });
-        group.bench(&format!("unrefined/{name}"), || {
-            unrefined.analyze(prog).is_ok()
-        });
+        group.bench(&format!("unrefined/{name}"), || unrefined.run(prog).is_ok());
     }
     group.finish();
 }

@@ -63,7 +63,9 @@ fn main() {
     let spot_pairs = args.get_u64("spot", 20_000);
     assert!((3..=8).contains(&width), "--width must be in 3..=8");
 
-    println!("E1: exhaustive soundness at width {width} (the SMT substitute; see DESIGN.md)\n");
+    println!(
+        "E1: exhaustive soundness at width {width} (the SMT substitute; see EXPERIMENTS.md E1)\n"
+    );
     let mut rows = Vec::new();
     for op in OpCatalog::<Tnum>::paper_suite() {
         let r = check_soundness(op, width);

@@ -9,7 +9,7 @@
 //! and deep-unroll workloads per job count), the map-helper `maps/`
 //! family (the fixture-shaped lookup filter and update loop under both
 //! strategies), the [`AnalysisStats`] collection, and the hand-rolled
-//! JSON baseline format (`BENCH_PR9.json`).
+//! JSON baseline format (`BENCH_PR10.json`).
 //!
 //! Keeping the sweep definition in one place guarantees the guard checks
 //! exactly the configurations the committed baseline was produced from.
@@ -619,7 +619,7 @@ pub fn collect_stats() -> Vec<(String, AnalysisStats)> {
 
 /// Serializes timing rows, per-configuration statistics, batched
 /// throughput rows, and parallel-exploration rows as the
-/// `BENCH_PR8.json` baseline document.
+/// `BENCH_PR10.json` baseline document.
 ///
 /// Throughput rows deliberately prefix their memo counters
 /// (`batch_memo_hits` etc.) and parshard rows prefix *all* their

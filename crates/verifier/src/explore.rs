@@ -14,7 +14,7 @@
 //!   program, precision pays the join/widening toll.
 //! * [`PathSensitive`] — a kernel-style depth-first branch walker: each
 //!   conditional forks an O(1) copy-on-write state, a per-pc
-//!   [`VisitedTable`](crate::visited::VisitedTable) prunes any arrival
+//!   [`VisitedTable`] prunes any arrival
 //!   included in an already-explored state (the kernel's
 //!   `is_state_visited`), the first
 //!   [`AnalyzerOptions::unroll_k`](crate::AnalyzerOptions::unroll_k)
@@ -36,16 +36,20 @@
 //! (per-function caching, strategy portfolios) plugs in behind the same
 //! trait.
 
+use std::rc::Rc;
+
 use ebpf::Program;
+use interval_domain::WidenThresholds;
 
 use crate::analyzer::AnalyzerOptions;
 use crate::cfg::Cfg;
 use crate::error::VerifierError;
 use crate::fixpoint::{self, AnalysisStats};
 use crate::ledger;
+use crate::passes::ProgramPasses;
 use crate::state::{AbsState, JoinCounters, WidenCtx};
 use crate::transfer::Transfer;
-use crate::visited::VisitedTable;
+use crate::visited::{Visited, VisitedTable};
 
 /// The raw result of one exploration run: the abstract state *before*
 /// every instruction (`None` for instructions proven unreachable) and
@@ -150,9 +154,7 @@ impl ExplorationStrategy for WideningFixpoint {
         prog: &Program,
         options: &AnalyzerOptions,
     ) -> Result<Exploration, VerifierError> {
-        let cfg = Cfg::build(prog);
-        let transfer = Transfer::new(options.clone());
-        let (states, stats) = fixpoint::run(&transfer, prog, &cfg, options)?;
+        let (states, stats) = fixpoint::run(&Setup::new(prog, options), prog, options)?;
         Ok(Exploration { states, stats })
     }
 }
@@ -160,7 +162,11 @@ impl ExplorationStrategy for WideningFixpoint {
 /// The kernel-style path-sensitive strategy: DFS over branch paths with
 /// visited-state pruning and bounded loop unrolling.
 ///
-/// Per arrival at an instruction the explorer:
+/// Per arrival at an instruction the explorer runs one step — the
+/// crate-private `PathWalk::arrive`, which every job of
+/// [`PathParallel`](crate::parshard::PathParallel) runs too. At a
+/// checkpoint (loop head or merge point) it first drops the arrival's
+/// dead components (with [`AnalyzerOptions::liveness_pruning`]); then:
 ///
 /// 1. at a loop head, charges the path's per-head trip counter; within
 ///    [`AnalyzerOptions::unroll_k`] the trip is explored with full
@@ -209,42 +215,23 @@ impl ExplorationStrategy for PathSensitive {
         prog: &Program,
         options: &AnalyzerOptions,
     ) -> Result<Exploration, VerifierError> {
-        let cfg = Cfg::build(prog);
-        let transfer = Transfer::new(options.clone());
+        let setup = Setup::new(prog, options);
         let start = ledger::snapshot();
-        let thresholds = fixpoint::harvest_thresholds(prog, &cfg, options);
-
-        // Per-head trip counters and widening summaries, by the CFG's
-        // dense loop-head index.
-        let head_rpo = cfg.head_rpo();
-        // The pass framework feeds checkpoint cleaning: every arrival
-        // at a checkpoint drops its dead components (kernel
-        // `clean_verifier_state`) *before* the summary join and the
-        // visited probe, so paths differing only in dead registers or
-        // slots fingerprint equally and prune each other, and loop-head
-        // summaries never widen (or burn delay on) dead components.
-        let passes = options
-            .liveness_pruning
-            .then(|| crate::passes::ProgramPasses::compute(prog, &cfg));
-
         let mut visited = VisitedTable::with_cap(prog.len(), options.visited_cap as usize);
-        let mut report: Vec<Option<AbsState>> = vec![None; prog.len()];
-        let mut summaries: Vec<Option<AbsState>> = vec![None; head_rpo.len()];
-        let mut counters: Vec<JoinCounters> =
-            head_rpo.iter().map(|_| JoinCounters::new()).collect();
+        let mut walk = PathWalk::new(&setup, prog.len(), options.unroll_k);
 
         // The DFS worklist: `(pc, in-state, per-head trip counts)`.
         // Pushing a fork clones the state (two refcount bumps) and the
         // `Rc`'d trip vector (one more) — the copy-on-write layer is
         // what makes the multiplied live states affordable; the trip
         // counts only materialize at loop heads, where they change.
-        let mut stack: Vec<(usize, AbsState, std::rc::Rc<Vec<u32>>)> = vec![(
+        let mut stack: Vec<(usize, AbsState, Rc<Vec<u32>>)> = vec![(
             0,
             AbsState::entry(),
-            std::rc::Rc::new(vec![0; head_rpo.len()]),
+            Rc::new(vec![0; setup.cfg.head_rpo().len()]),
         )];
         let began = std::time::Instant::now();
-        while let Some((pc, mut state, mut trips)) = stack.pop() {
+        while let Some((pc, state, mut trips)) = stack.pop() {
             if ledger::add(1, |t| &t.visits) - start.visits > options.analysis_budget {
                 return Err(VerifierError::AnalysisBudgetExhausted {
                     pc,
@@ -253,113 +240,200 @@ impl ExplorationStrategy for PathSensitive {
             }
             crate::analyzer::check_deadline(began, options, pc)?;
             crate::failpoint::fire(crate::failpoint::FaultSite::PathVisit);
-            let h = cfg.head_index(pc);
-            // Checkpoints — where paths can re-converge, so where pruning
-            // can fire: loop heads plus merge points.
-            let checkpoint = cfg.is_checkpoint(pc);
-            if checkpoint {
-                if let Some(p) = &passes {
-                    let mask = p.live_in(pc);
-                    state.clear_dead(mask.regs, mask.slots);
-                }
-            }
-            if h != usize::MAX {
-                // A new trip of this loop restarts the unroll budget of
-                // every head nested inside it (later in RPO), so an
-                // 8×8 nested loop unrolls 8 fresh inner trips per outer
-                // trip instead of exhausting the inner budget across
-                // outer iterations. Termination is untouched: in any
-                // cycle, the head earliest in RPO is never reset by the
-                // others, saturates, and drives the widening fallback.
-                // (Resets never touch `h` itself — only heads later in
-                // RPO — so the trip test below is unaffected by them.)
-                let take_trip = trips[h] < options.unroll_k;
-                let needs_reset = head_rpo
-                    .iter()
-                    .enumerate()
-                    .any(|(j, &pos)| pos > head_rpo[h] && trips[j] != 0);
-                if take_trip || needs_reset {
-                    let t = std::rc::Rc::make_mut(&mut trips);
-                    for (j, &pos) in head_rpo.iter().enumerate() {
-                        if pos > head_rpo[h] {
-                            t[j] = 0;
-                        }
-                    }
-                    if take_trip {
-                        t[h] += 1;
-                    }
-                }
-                if take_trip {
-                    // Unrolled trip: keep the path state exact.
-                    ledger::add(1, |t| &t.unrolled_trips);
-                } else {
-                    // Past the unroll bound: widen into the head's
-                    // summary and continue from it. The trip counter
-                    // stays saturated, so this path keeps flowing
-                    // through the summary on every further lap.
-                    match &mut summaries[h] {
-                        slot @ None => *slot = Some(state.clone()),
-                        Some(summary) => {
-                            let grew = summary.flow_join(
-                                &state,
-                                Some(WidenCtx {
-                                    counters: &mut counters[h],
-                                    delay: 0,
-                                    thresholds: &thresholds,
-                                }),
-                            );
-                            // The widened re-entry state is recorded at
-                            // the head (inserted below whenever it
-                            // grows), so an arrival that adds nothing —
-                            // typically the *second* back-edge of the
-                            // same trip — is covered by the walk the
-                            // summary already took: prune it here
-                            // instead of re-walking the body. This is
-                            // also what keeps the fallback terminating
-                            // even if cap eviction dropped the recorded
-                            // summary from the chain.
-                            if !grew {
-                                crate::visited::note_summary_prune();
-                                continue;
-                            }
-                            state = summary.clone();
-                        }
-                    }
-                }
-            }
-            if checkpoint {
-                let covered = if passes.is_some() {
-                    visited.is_covered_masked(pc, &state)
-                } else {
-                    visited.is_covered(pc, &state)
-                };
-                if covered {
-                    continue;
-                }
-                visited.insert(pc, state.clone());
-            }
-            match &mut report[pc] {
-                slot @ None => *slot = Some(state.clone()),
-                // In-place join: the accumulator materializes once and
-                // then absorbs later paths without fresh allocations.
-                Some(existing) => {
-                    existing.flow_join(&state, None);
-                }
-            }
-            for (succ, out) in transfer.step(prog, state, pc)? {
+            let Some(state) = walk.arrive(pc, state, &mut trips, &mut visited) else {
+                continue;
+            };
+            for (succ, out) in setup.transfer.step(prog, state, pc)? {
                 stack.push((succ, out, trips.clone()));
             }
         }
 
         Ok(Exploration {
-            states: report,
+            states: walk.report,
             stats: AnalysisStats {
-                dead_insns: passes
-                    .as_ref()
-                    .map_or(0, crate::passes::ProgramPasses::dead_insns),
+                dead_insns: setup.dead_insns(),
                 ..ledger::since(start)
             },
         })
+    }
+}
+
+/// What every engine derives from a program before walking it: the
+/// CFG, the transfer layer, the harvested widening thresholds and (with
+/// [`AnalyzerOptions::liveness_pruning`]) the dataflow passes that feed
+/// checkpoint cleaning. Built once per exploration; the parallel
+/// explorer shares one across all its workers.
+pub(crate) struct Setup {
+    pub(crate) cfg: Cfg,
+    pub(crate) transfer: Transfer,
+    pub(crate) thresholds: WidenThresholds,
+    pub(crate) passes: Option<ProgramPasses>,
+}
+
+impl Setup {
+    pub(crate) fn new(prog: &Program, options: &AnalyzerOptions) -> Setup {
+        let cfg = Cfg::build(prog);
+        let thresholds = fixpoint::harvest_thresholds(prog, &cfg, options);
+        let passes = options
+            .liveness_pruning
+            .then(|| ProgramPasses::compute(prog, &cfg));
+        Setup {
+            cfg,
+            transfer: Transfer::new(options.clone()),
+            thresholds,
+            passes,
+        }
+    }
+
+    /// Checkpoint cleaning (the kernel's `clean_verifier_state`): at a
+    /// loop head or merge point, drops the components of `state` the
+    /// liveness pass proved dead, so states differing only in dead
+    /// registers or slots fingerprint and compare equally. A no-op
+    /// elsewhere and with the passes off.
+    pub(crate) fn clean(&self, pc: usize, state: &mut AbsState) {
+        if let Some(p) = &self.passes {
+            if self.cfg.is_checkpoint(pc) {
+                let mask = p.live_in(pc);
+                state.clear_dead(mask.regs, mask.slots);
+            }
+        }
+    }
+
+    /// The passes' dead-instruction count (zero with the passes off).
+    pub(crate) fn dead_insns(&self) -> u64 {
+        self.passes.as_ref().map_or(0, ProgramPasses::dead_insns)
+    }
+}
+
+/// One path walk's per-arrival step, shared by [`PathSensitive`] and
+/// every job of [`PathParallel`](crate::parshard::PathParallel): the
+/// walk owns the loop-head summaries and the per-pc report joins; the
+/// caller owns the worklist, the budget, the deadline, the fail points
+/// and (in parallel) forking and spawning.
+///
+/// [`PathWalk::arrive`] is generic over the caller's visited table
+/// ([`Visited`]), so each explorer gets its own copy of the step with
+/// the table calls resolved statically: no dispatch on the
+/// per-arrival hot path.
+pub(crate) struct PathWalk<'s> {
+    setup: &'s Setup,
+    unroll_k: u32,
+    /// Per-pc join over every arrival the walk explored.
+    pub(crate) report: Vec<Option<AbsState>>,
+    summaries: Vec<Option<AbsState>>,
+    counters: Vec<JoinCounters>,
+}
+
+impl<'s> PathWalk<'s> {
+    pub(crate) fn new(setup: &'s Setup, len: usize, unroll_k: u32) -> PathWalk<'s> {
+        let heads = setup.cfg.head_rpo().len();
+        PathWalk {
+            setup,
+            unroll_k,
+            report: vec![None; len],
+            summaries: vec![None; heads],
+            counters: (0..heads).map(|_| JoinCounters::new()).collect(),
+        }
+    }
+
+    /// One arrival of `state` at `pc` on a path with per-head trip
+    /// counts `trips`: returns the state to step the transfer layer
+    /// from, or `None` when the arrival is pruned. In order:
+    ///
+    /// 1. at a checkpoint, cleans dead components ([`Setup::clean`]);
+    /// 2. at a loop head, charges the trip (see [`PathSensitive`]) or,
+    ///    past the unroll bound, widens into the head's summary and
+    ///    continues from it — pruning an arrival that does not grow it;
+    /// 3. at a checkpoint, probes `visited` and records the arrival
+    ///    unless an explored state covers it;
+    /// 4. joins the arrival into the pc's report.
+    #[inline]
+    pub(crate) fn arrive(
+        &mut self,
+        pc: usize,
+        mut state: AbsState,
+        trips: &mut Rc<Vec<u32>>,
+        visited: &mut impl Visited,
+    ) -> Option<AbsState> {
+        let cfg = &self.setup.cfg;
+        self.setup.clean(pc, &mut state);
+        let h = cfg.head_index(pc);
+        if h != usize::MAX {
+            // A new trip of this loop restarts the unroll budget of
+            // every head nested inside it (later in RPO), so an 8×8
+            // nested loop unrolls 8 fresh inner trips per outer trip
+            // instead of exhausting the inner budget across outer
+            // iterations. Termination is untouched: in any cycle, the
+            // head earliest in RPO is never reset by the others,
+            // saturates, and drives the widening fallback. (Resets never
+            // touch `h` itself — only heads later in RPO — so the trip
+            // test below is unaffected by them.)
+            let head_rpo = cfg.head_rpo();
+            let take_trip = trips[h] < self.unroll_k;
+            let needs_reset = head_rpo
+                .iter()
+                .enumerate()
+                .any(|(j, &pos)| pos > head_rpo[h] && trips[j] != 0);
+            if take_trip || needs_reset {
+                let t = Rc::make_mut(trips);
+                for (j, &pos) in head_rpo.iter().enumerate() {
+                    if pos > head_rpo[h] {
+                        t[j] = 0;
+                    }
+                }
+                if take_trip {
+                    t[h] += 1;
+                }
+            }
+            if take_trip {
+                // Unrolled trip: keep the path state exact.
+                ledger::add(1, |t| &t.unrolled_trips);
+            } else {
+                // Past the unroll bound: widen into the head's summary
+                // and continue from it. The trip counter stays
+                // saturated, so this path keeps flowing through the
+                // summary on every further lap.
+                match &mut self.summaries[h] {
+                    slot @ None => *slot = Some(state.clone()),
+                    Some(summary) => {
+                        let grew = summary.flow_join(
+                            &state,
+                            Some(WidenCtx {
+                                counters: &mut self.counters[h],
+                                delay: 0,
+                                thresholds: &self.setup.thresholds,
+                            }),
+                        );
+                        // The widened re-entry state is recorded at the
+                        // head (inserted below whenever it grows), so an
+                        // arrival that adds nothing — typically the
+                        // *second* back-edge of the same trip — is
+                        // covered by the walk the summary already took:
+                        // prune it here instead of re-walking the body.
+                        // This is also what keeps the fallback
+                        // terminating even if cap eviction dropped the
+                        // recorded summary from the chain.
+                        if !grew {
+                            crate::visited::note_summary_prune();
+                            return None;
+                        }
+                        state = summary.clone();
+                    }
+                }
+            }
+        }
+        if cfg.is_checkpoint(pc) && visited.visit(pc, &state, self.setup.passes.is_some()) {
+            return None;
+        }
+        match &mut self.report[pc] {
+            slot @ None => *slot = Some(state.clone()),
+            // In-place join: the accumulator materializes once and then
+            // absorbs later paths without fresh allocations.
+            Some(existing) => {
+                existing.flow_join(&state, None);
+            }
+        }
+        Some(state)
     }
 }
 

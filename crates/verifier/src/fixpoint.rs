@@ -22,14 +22,14 @@ use interval_domain::WidenThresholds;
 use crate::analyzer::AnalyzerOptions;
 use crate::cfg::Cfg;
 use crate::error::VerifierError;
+use crate::explore::Setup;
 use crate::ledger;
 use crate::state::{AbsState, JoinCounters, WidenCtx};
-use crate::transfer::Transfer;
 
 /// Counters describing one analysis run — the observable effect of the
 /// copy-on-write state layer and (under the path-sensitive strategy) of
 /// kernel-style visited-state pruning, emitted by the fixpoint bench
-/// (`BENCH_PR5.json`) and guarded by CI against regression.
+/// (`BENCH_PR10.json`) and guarded by CI against regression.
 ///
 /// Every field except `dead_insns`, `subtrees_spawned`, `steals` and
 /// `degradations` is kept in the thread-local counter ledger, which
@@ -236,32 +236,22 @@ pub(crate) fn harvest_thresholds(
 /// A [`VerifierError`] from the transfer layer (the program is unsafe)
 /// or [`VerifierError::AnalysisBudgetExhausted`] when the iteration
 /// exceeds its visit budget.
-pub fn run(
-    transfer: &Transfer,
+pub(crate) fn run(
+    setup: &Setup,
     prog: &Program,
-    cfg: &Cfg,
     options: &AnalyzerOptions,
 ) -> Result<(Vec<Option<AbsState>>, AnalysisStats), VerifierError> {
     let start = ledger::snapshot();
-    let thresholds = harvest_thresholds(prog, cfg, options);
+    let cfg = &setup.cfg;
 
-    // The pass framework feeds checkpoint cleaning: states flowing into
-    // a loop head or merge point drop their dead components first, so
-    // contributions differing only in dead registers/slots subset-skip
-    // instead of re-joining, and dead components never burn widening
-    // delay. Cleaning to `Uninit` (the join/order top) is monotone, so
-    // the fixpoint stays a sound over-approximation on live components.
-    let passes = options
-        .liveness_pruning
-        .then(|| crate::passes::ProgramPasses::compute(prog, cfg));
-
+    // Checkpoint cleaning: states flowing into a loop head or merge
+    // point drop their dead components first, so contributions
+    // differing only in dead registers/slots subset-skip instead of
+    // re-joining, and dead components never burn widening delay.
+    // Cleaning to `Uninit` (the join/order top) is monotone, so the
+    // fixpoint stays a sound over-approximation on live components.
     let mut entry = AbsState::entry();
-    if let Some(p) = &passes {
-        if cfg.is_checkpoint(0) {
-            let mask = p.live_in(0);
-            entry.clear_dead(mask.regs, mask.slots);
-        }
-    }
+    setup.clean(0, &mut entry);
     let mut states: Vec<Option<AbsState>> = vec![None; prog.len()];
     states[0] = Some(entry);
     // Per-loop-head, per-component changing-join counters driving the
@@ -290,13 +280,8 @@ pub fn run(
         let state = states[pc]
             .clone()
             .expect("queued instructions have a state");
-        for (succ, mut out) in transfer.step(prog, state, pc)? {
-            if let Some(p) = &passes {
-                if cfg.is_checkpoint(succ) {
-                    let mask = p.live_in(succ);
-                    out.clear_dead(mask.regs, mask.slots);
-                }
-            }
+        for (succ, mut out) in setup.transfer.step(prog, state, pc)? {
+            setup.clean(succ, &mut out);
             let changed = match &mut states[succ] {
                 slot @ None => {
                     *slot = Some(out);
@@ -306,7 +291,7 @@ pub fn run(
                     let widen = cfg.is_loop_head(succ).then(|| WidenCtx {
                         counters: counters[succ].get_or_insert_with(Default::default),
                         delay: options.widen_delay,
-                        thresholds: &thresholds,
+                        thresholds: &setup.thresholds,
                     });
                     existing.flow_join(&out, widen)
                 }
@@ -324,15 +309,13 @@ pub fn run(
     let states = if cfg.back_edges().is_empty() {
         states
     } else {
-        narrow(transfer, prog, cfg, &states, passes.as_ref())?
+        narrow(setup, prog, &states)?
     };
 
     Ok((
         states,
         AnalysisStats {
-            dead_insns: passes
-                .as_ref()
-                .map_or(0, super::passes::ProgramPasses::dead_insns),
+            dead_insns: setup.dead_insns(),
             ..ledger::since(start)
         },
     ))
@@ -344,35 +327,23 @@ pub fn run(
 /// post-fixpoint while undoing over-extrapolated widening jumps — e.g. a
 /// loop head re-tightens to `entry ⊔ refined back-edge`.
 fn narrow(
-    transfer: &Transfer,
+    setup: &Setup,
     prog: &Program,
-    cfg: &Cfg,
     states: &[Option<AbsState>],
-    passes: Option<&crate::passes::ProgramPasses>,
 ) -> Result<Vec<Option<AbsState>>, VerifierError> {
     let mut narrowed: Vec<Option<AbsState>> = vec![None; prog.len()];
     let mut entry = AbsState::entry();
-    if let Some(p) = passes {
-        if cfg.is_checkpoint(0) {
-            let mask = p.live_in(0);
-            entry.clear_dead(mask.regs, mask.slots);
-        }
-    }
+    setup.clean(0, &mut entry);
     narrowed[0] = Some(entry);
-    for &pc in cfg.rpo() {
+    for &pc in setup.cfg.rpo() {
         let Some(state) = states[pc].clone() else {
             continue;
         };
-        for (succ, mut out) in transfer.step(prog, state, pc)? {
+        for (succ, mut out) in setup.transfer.step(prog, state, pc)? {
             // The same checkpoint cleaning the widened pass applied:
             // narrowing must not resurrect dead components the
             // fixpoint already dropped.
-            if let Some(p) = passes {
-                if cfg.is_checkpoint(succ) {
-                    let mask = p.live_in(succ);
-                    out.clear_dead(mask.regs, mask.slots);
-                }
-            }
+            setup.clean(succ, &mut out);
             match &mut narrowed[succ] {
                 slot @ None => *slot = Some(out),
                 // In-place join: the cell materializes once and then

@@ -150,7 +150,7 @@ pub mod transfer;
 mod value;
 pub mod visited;
 
-pub use analyzer::{Analysis, Analyzer, AnalyzerOptions, DegradationPolicy, VerificationSession};
+pub use analyzer::{Analysis, AnalyzerOptions, DegradationPolicy, VerificationSession};
 pub use batch::{BatchReport, BatchStats};
 pub use branch::refine as refine_branch;
 pub use branch::refine32 as refine_branch32;

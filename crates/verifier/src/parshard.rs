@@ -1,5 +1,5 @@
 //! Work-stealing **intra-program** path exploration — the parallel
-//! sibling of [`PathSensitive`](crate::explore::PathSensitive).
+//! sibling of [`PathSensitive`].
 //!
 //! The sequential path explorer walks the branch tree depth-first: at
 //! every conditional it pushes both successor states and explores the
@@ -20,8 +20,19 @@
 //!
 //! Verdicts, errors, and per-pc reported joins are **bit-identical** to
 //! the sequential explorer at any job count; only visit/prune counters
-//! may differ. Three mechanisms carry the contract:
+//! may differ. Four mechanisms carry the contract:
 //!
+//! * **One walk.** Every job runs the sequential explorer's own
+//!   per-arrival step (the crate-private `PathWalk` of
+//!   [`crate::explore`]): checkpoint cleaning, loop-head trip
+//!   accounting with the nested-head reset, the widening summary, the
+//!   visited probe and insert, and the per-pc report join are shared
+//!   code, not a copy kept in sync by hand. Only the worklist, budget
+//!   counting, the deadline, the fail point, forking and spawning are
+//!   this module's own, and every job steps the one
+//!   [`Transfer`](crate::transfer::Transfer) the run's shared setup
+//!   built. `tests/path_reports.rs` checks both explorers against one
+//!   golden file.
 //! * **Structured merge.** Each job accumulates its per-pc report joins
 //!   locally, and records its spawned children in order. The
 //!   coordinator folds job accumulators in the job tree's pre-order
@@ -59,21 +70,19 @@
 //!   session's [`DegradationPolicy`](crate::DegradationPolicy), which
 //!   owns (and counts) the downgrade to the sequential explorer.
 
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use domain::parallel::{default_threads, lock_recover, par_workers, StealPool};
 use ebpf::Program;
-use interval_domain::WidenThresholds;
 
 use crate::analyzer::AnalyzerOptions;
-use crate::cfg::Cfg;
 use crate::error::VerifierError;
-use crate::explore::{Exploration, ExplorationStrategy, PathSensitive};
-use crate::fixpoint::{self, AnalysisStats};
+use crate::explore::{Exploration, ExplorationStrategy, PathSensitive, PathWalk, Setup};
+use crate::fixpoint::AnalysisStats;
 use crate::ledger;
-use crate::state::{AbsState, JoinCounters, SparseStack, WidenCtx, REGS};
-use crate::transfer::Transfer;
+use crate::state::{AbsState, SparseStack, REGS};
 use crate::value::RegValue;
 use crate::visited::ConcurrentVisitedTable;
 
@@ -102,7 +111,8 @@ struct JobResult {
 }
 
 /// Everything the workers share: the steal pool, the visited table, the
-/// global visit budget, the first-error latch, and the job id counter.
+/// global visit budget, the first-error latch, the job id counter, and
+/// the program's one [`Setup`].
 struct SharedCtx<'a> {
     pool: StealPool<Job>,
     visited: ConcurrentVisitedTable,
@@ -115,12 +125,10 @@ struct SharedCtx<'a> {
     results: Mutex<Vec<JobResult>>,
     prog: &'a Program,
     options: &'a AnalyzerOptions,
-    thresholds: WidenThresholds,
-    /// Loop heads, checkpoints and `(from, to)` back edges: a
-    /// fall-through successor reached over a back edge is never spawned,
-    /// keeping every cycle inside one job.
-    cfg: Cfg,
-    passes: Option<crate::passes::ProgramPasses>,
+    /// What every job walks with. Its CFG's `(from, to)` back edges
+    /// also decide spawning: a fall-through successor reached over a
+    /// back edge is never spawned, keeping every cycle inside one job.
+    setup: Setup,
 }
 
 /// The work-stealing path-parallel strategy. Reads
@@ -146,15 +154,6 @@ impl ExplorationStrategy for PathParallel {
             0 => default_threads(),
             n => n as usize,
         };
-        let cfg = Cfg::build(prog);
-        let thresholds = fixpoint::harvest_thresholds(prog, &cfg, options);
-        let passes = options
-            .liveness_pruning
-            .then(|| crate::passes::ProgramPasses::compute(prog, &cfg));
-        let dead_insns = passes
-            .as_ref()
-            .map_or(0, crate::passes::ProgramPasses::dead_insns);
-
         let ctx = SharedCtx {
             pool: StealPool::new(jobs),
             visited: ConcurrentVisitedTable::with_cap(prog.len(), options.visited_cap as usize),
@@ -165,9 +164,7 @@ impl ExplorationStrategy for PathParallel {
             results: Mutex::new(Vec::new()),
             prog,
             options,
-            thresholds,
-            cfg,
-            passes,
+            setup: Setup::new(prog, options),
         };
         let (entry_regs, entry_chunks) = AbsState::entry().to_parts();
         ctx.pool.push(
@@ -177,7 +174,7 @@ impl ExplorationStrategy for PathParallel {
                 pc: 0,
                 regs: entry_regs,
                 chunks: entry_chunks,
-                trips: vec![0; ctx.cfg.head_rpo().len()],
+                trips: vec![0; ctx.setup.cfg.head_rpo().len()],
                 depth: 0,
             },
         );
@@ -304,7 +301,7 @@ impl ExplorationStrategy for PathParallel {
         Ok(Exploration {
             states: report,
             stats: AnalysisStats {
-                dead_insns,
+                dead_insns: ctx.setup.dead_insns(),
                 subtrees_spawned: spawned.saturating_sub(1),
                 steals: ctx.pool.steals(),
                 ..ledger::since(start)
@@ -313,27 +310,22 @@ impl ExplorationStrategy for PathParallel {
     }
 }
 
-/// Runs one job's local DFS walk — the sequential explorer's loop with
-/// job-local summaries and report accumulators, the shared visited
-/// table, and the spawn rule at forks.
+/// Runs one job's local DFS walk: the sequential explorer's
+/// [`PathWalk`] step with job-local summaries and report accumulators
+/// against the shared visited table, plus the spawn rule at forks.
 fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
-    let transfer = Transfer::new(ctx.options.clone());
-    let head_rpo = ctx.cfg.head_rpo();
-    let id = job.id;
+    let mut walk = PathWalk::new(&ctx.setup, ctx.prog.len(), ctx.options.unroll_k);
+    let mut visited = (&ctx.visited, worker);
     let mut children = Vec::new();
-    let mut report: Vec<Option<AbsState>> = vec![None; ctx.prog.len()];
-    let mut summaries: Vec<Option<AbsState>> = vec![None; head_rpo.len()];
-    let mut counters: Vec<JoinCounters> =
-        (0..head_rpo.len()).map(|_| JoinCounters::new()).collect();
     let mut error = None;
 
-    let mut stack: Vec<(usize, AbsState, std::rc::Rc<Vec<u32>>, u32)> = vec![(
+    let mut stack: Vec<(usize, AbsState, Rc<Vec<u32>>, u32)> = vec![(
         job.pc,
         AbsState::from_parts(job.regs, job.chunks),
-        std::rc::Rc::new(job.trips),
+        Rc::new(job.trips),
         job.depth,
     )];
-    'walk: while let Some((pc, mut state, mut trips, depth)) = stack.pop() {
+    while let Some((pc, state, mut trips, depth)) = stack.pop() {
         if ctx.errored.load(Ordering::Relaxed) {
             // Another worker already doomed the run: stop walking, the
             // sequential rerun will produce the canonical result.
@@ -352,82 +344,19 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
             break;
         }
         crate::failpoint::fire(crate::failpoint::FaultSite::ParshardJob);
-        let h = ctx.cfg.head_index(pc);
-        let checkpoint = ctx.cfg.is_checkpoint(pc);
-        if checkpoint {
-            if let Some(p) = &ctx.passes {
-                let mask = p.live_in(pc);
-                state.clear_dead(mask.regs, mask.slots);
-            }
-        }
-        if h != usize::MAX {
-            let take_trip = trips[h] < ctx.options.unroll_k;
-            let needs_reset = head_rpo
-                .iter()
-                .enumerate()
-                .any(|(j, &pos)| pos > head_rpo[h] && trips[j] != 0);
-            if take_trip || needs_reset {
-                let t = std::rc::Rc::make_mut(&mut trips);
-                for (j, &pos) in head_rpo.iter().enumerate() {
-                    if pos > head_rpo[h] {
-                        t[j] = 0;
-                    }
-                }
-                if take_trip {
-                    t[h] += 1;
-                }
-            }
-            if take_trip {
-                ledger::add(1, |t| &t.unrolled_trips);
-            } else {
-                // Job-local widening summary: every lap of a cycle stays
-                // in this job (back edges never spawn), so the summary
-                // stabilizes exactly as in the sequential walk.
-                match &mut summaries[h] {
-                    slot @ None => *slot = Some(state.clone()),
-                    Some(summary) => {
-                        let grew = summary.flow_join(
-                            &state,
-                            Some(WidenCtx {
-                                counters: &mut counters[h],
-                                delay: 0,
-                                thresholds: &ctx.thresholds,
-                            }),
-                        );
-                        if !grew {
-                            crate::visited::note_summary_prune();
-                            continue;
-                        }
-                        state = summary.clone();
-                    }
-                }
-            }
-        }
-        if checkpoint {
-            let covered = if ctx.passes.is_some() {
-                ctx.visited.is_covered_masked(pc, &state, worker)
-            } else {
-                ctx.visited.is_covered(pc, &state, worker)
-            };
-            if covered {
-                continue;
-            }
-            ctx.visited.insert(pc, &state, worker);
-        }
-        match &mut report[pc] {
-            slot @ None => *slot = Some(state.clone()),
-            Some(existing) => {
-                existing.flow_join(&state, None);
-            }
-        }
-        let succs = match transfer.step(ctx.prog, state, pc) {
-            Ok(s) => s,
+        // Job-local loop summaries: every lap of a cycle stays in this
+        // job (back edges never spawn), so a summary stabilizes exactly
+        // as in the sequential walk.
+        let Some(state) = walk.arrive(pc, state, &mut trips, &mut visited) else {
+            continue;
+        };
+        let mut outs: Vec<(usize, AbsState)> = match ctx.setup.transfer.step(ctx.prog, state, pc) {
+            Ok(s) => s.into_iter().collect(),
             Err(e) => {
                 error = Some(e);
-                break 'walk;
+                break;
             }
         };
-        let mut outs: Vec<(usize, AbsState)> = succs.into_iter().collect();
         if outs.len() == 2 {
             // A fork. The sequential DFS pushes [fall, taken] and walks
             // the taken arm first; past the spawn depth the fall arm —
@@ -437,8 +366,8 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
             let ndepth = depth + 1;
             let (taken_pc, taken_state) = outs.pop().expect("two successors");
             let (fall_pc, fall_state) = outs.pop().expect("two successors");
-            let spawn =
-                depth >= ctx.options.spawn_depth && !ctx.cfg.back_edges().contains(&(pc, fall_pc));
+            let spawn = depth >= ctx.options.spawn_depth
+                && !ctx.setup.cfg.back_edges().contains(&(pc, fall_pc));
             if spawn {
                 let (regs, chunks) = fall_state.to_parts();
                 let child = ctx.next_id.fetch_add(1, Ordering::Relaxed);
@@ -466,9 +395,10 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
     }
 
     JobResult {
-        id,
+        id: job.id,
         children,
-        report: report
+        report: walk
+            .report
             .into_iter()
             .enumerate()
             .filter_map(|(pc, acc)| {

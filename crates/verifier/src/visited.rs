@@ -17,31 +17,33 @@
 //!   (the property suite pins `equal states ⟹ equal fingerprints`), so
 //!   the expensive pointwise [`AbsState::is_subset_of`] runs only for
 //!   fingerprint matches — plus a small newest-first budget of
-//!   strict-inclusion probes ([`STRICT_PROBES`]), since a strictly
+//!   strict-inclusion probes (`STRICT_PROBES`, two), since a strictly
 //!   smaller arrival can hide behind any fingerprint. Skipped candidates
 //!   are counted as `fingerprint_rejects`. Skipping a
 //!   probe is always sound: pruning is an optimization, and the
 //!   equality path (which termination of the widening fallback leans
 //!   on) is probed against the *entire* chain.
 //! * **Dominance eviction.** Inserting a state compares it against the
-//!   newest [`DOMINANCE_PROBES`] entries; any entry *included in* the
-//!   newcomer is dropped — everything it covered, the newcomer covers.
-//!   This is what keeps widening-fallback chains short: each widened
-//!   summary subsumes (and evicts) its predecessor.
+//!   newest `DOMINANCE_PROBES` (two) entries; any entry *included in*
+//!   the newcomer is dropped — everything it covered, the newcomer
+//!   covers. This is what keeps widening-fallback chains short: each
+//!   widened summary subsumes (and evicts) its predecessor.
 //! * **Chain caps.** Each pc keeps at most `cap` entries
 //!   ([`crate::AnalyzerOptions::visited_cap`], default
 //!   [`DEFAULT_CAP`]); a full chain evicts oldest-first, kernel-style.
 //!   Evictions of both kinds are counted as `visited_evicted`.
 //!
-//! Both tables count the pruning ledger surfaced through
-//! [`crate::AnalysisStats`] in the calling thread's counter ledger,
-//! not in fields of their own: how many full inclusion probes ran
-//! (`subset_checks`), how many candidates were dismissed by fingerprint
-//! (`fingerprint_rejects`), how many entries were evicted
-//! (`visited_evicted`), and how many branch states were pruned
-//! (`states_pruned`) — benchmarked in `BENCH_PR5.json` and guarded by
-//! CI (`fixpoint_guard` fails on `subset_checks` regressions at the
-//! deep-unroll point).
+//! Both tables run one chain routine for all of this (the private
+//! `probe` and `record`); they differ only in how a recorded entry is
+//! stored, and so in how it is tested for inclusion. Both count the
+//! pruning ledger surfaced through [`crate::AnalysisStats`] in the
+//! calling thread's counter ledger, not in fields of their own: how
+//! many full inclusion probes ran (`subset_checks`), how many
+//! candidates were dismissed by fingerprint (`fingerprint_rejects`),
+//! how many entries were evicted (`visited_evicted`), and how many
+//! branch states were pruned (`states_pruned`) — benchmarked in
+//! `BENCH_PR10.json` and guarded by CI (`fixpoint_guard` fails on
+//! `subset_checks` regressions at the deep-unroll point).
 
 use std::sync::Mutex;
 
@@ -76,11 +78,97 @@ const DOMINANCE_PROBES: usize = 2;
 /// genuinely differ, and spending deep probes on those rarely prunes.
 const MASKED_STRICT_PROBES: usize = 0;
 
-/// One recorded exploration: the state plus its cached fingerprint.
+/// One recorded exploration: the state as its table stores it, plus
+/// its cached fingerprint.
 #[derive(Clone, Debug)]
-struct Entry {
+struct Entry<S> {
     fp: u64,
-    state: AbsState,
+    state: S,
+}
+
+/// How a recorded state is tested for inclusion — the one thing the
+/// sequential and the concurrent table do differently.
+trait Recorded {
+    /// Whether `arrival` is included in this recorded state.
+    fn covers(&self, arrival: &AbsState) -> bool;
+    /// Whether this recorded state is included in `newer`.
+    fn within(&self, newer: &Self) -> bool;
+}
+
+impl Recorded for AbsState {
+    fn covers(&self, arrival: &AbsState) -> bool {
+        arrival.is_subset_of(self)
+    }
+
+    fn within(&self, newer: &AbsState) -> bool {
+        self.is_subset_of(newer)
+    }
+}
+
+/// The chain probe both tables run: newest entries first, a full
+/// inclusion check for every fingerprint match wherever it sits and for
+/// mismatches only within the strict-probe budget (`STRICT_PROBES`, or
+/// `MASKED_STRICT_PROBES` for liveness-cleaned arrivals), every other
+/// candidate dismissed in O(1). Counts the probe, and a masked hit as
+/// `live_masked_prunes`; returns the covering entry.
+fn probe<'c, S: Recorded>(chain: &'c [Entry<S>], state: &AbsState, masked: bool) -> Option<&'c S> {
+    let fp = state.fingerprint();
+    let mut strict_left = if masked {
+        MASKED_STRICT_PROBES
+    } else {
+        STRICT_PROBES
+    };
+    let (mut checks, mut rejects) = (0u64, 0u64);
+    let mut hit = None;
+    for seen in chain.iter().rev() {
+        let full_probe = if seen.fp == fp {
+            true
+        } else if strict_left > 0 {
+            strict_left -= 1;
+            true
+        } else {
+            rejects += 1;
+            false
+        };
+        if full_probe {
+            checks += 1;
+            if seen.state.covers(state) {
+                hit = Some(&seen.state);
+                break;
+            }
+        }
+    }
+    ledger::add(checks, |t| &t.subset_checks);
+    ledger::add(rejects, |t| &t.fingerprint_rejects);
+    ledger::add(u64::from(hit.is_some()), |t| &t.states_pruned);
+    ledger::add(u64::from(masked && hit.is_some()), |t| {
+        &t.live_masked_prunes
+    });
+    hit
+}
+
+/// The chain insertion both tables run: **dominance eviction** drops
+/// any of the newest `DOMINANCE_PROBES` entries the newcomer includes
+/// (their pruning power is subsumed), then the chain cap evicts
+/// oldest-first, then the newcomer is appended. Counts the dominance
+/// probes and the evictions.
+fn record<S: Recorded>(chain: &mut Vec<Entry<S>>, entry: Entry<S>, cap: usize) {
+    let lo = chain.len().saturating_sub(DOMINANCE_PROBES);
+    let checks = (chain.len() - lo) as u64;
+    let mut evicted = 0u64;
+    for i in (lo..chain.len()).rev() {
+        if chain[i].state.within(&entry.state) {
+            chain.remove(i);
+            evicted += 1;
+        }
+    }
+    while chain.len() >= cap {
+        chain.remove(0);
+        evicted += 1;
+    }
+    chain.push(entry);
+    ledger::add(checks, |t| &t.subset_checks);
+    ledger::add(evicted, |t| &t.visited_evicted);
 }
 
 /// Per-instruction chains of already-explored abstract states, with
@@ -92,7 +180,7 @@ struct Entry {
 /// re-converge); straight-line instructions are never probed.
 #[derive(Clone, Debug, Default)]
 pub struct VisitedTable {
-    buckets: Vec<Vec<Entry>>,
+    buckets: Vec<Vec<Entry<AbsState>>>,
     cap: usize,
 }
 
@@ -122,81 +210,33 @@ impl VisitedTable {
     /// state is the likeliest cover for a re-converging path. Candidates
     /// whose fingerprint matches get a full inclusion probe wherever
     /// they sit in the chain; mismatched candidates (provably unequal)
-    /// get one only within the newest-first [`STRICT_PROBES`] budget and
-    /// are otherwise dismissed in O(1).
+    /// get one only within a newest-first budget of two and are
+    /// otherwise dismissed in O(1).
     pub fn is_covered(&self, pc: usize, state: &AbsState) -> bool {
-        self.probe(pc, state, STRICT_PROBES)
+        probe(&self.buckets[pc], state, false).is_some()
     }
 
     /// [`VisitedTable::is_covered`] for liveness-*cleaned* arrivals:
-    /// identical semantics, but the strict-probe budget drops to
-    /// [`MASKED_STRICT_PROBES`] — after `AbsState::clear_dead` has set
-    /// every dead component to its top, arrivals that differ only in
-    /// dead components already land on the fingerprint-match path, so
-    /// deep probes on mismatched fingerprints buy almost nothing.
-    /// Prunes through this path are additionally counted as
-    /// `live_masked_prunes`.
+    /// identical semantics, but the strict-probe budget drops to zero —
+    /// after `AbsState::clear_dead` has set every dead component to its
+    /// top, arrivals that differ only in dead components already land
+    /// on the fingerprint-match path, so deep probes on mismatched
+    /// fingerprints buy almost nothing. Prunes through this path are
+    /// additionally counted as `live_masked_prunes`.
     pub fn is_covered_masked(&self, pc: usize, state: &AbsState) -> bool {
-        let covered = self.probe(pc, state, MASKED_STRICT_PROBES);
-        ledger::add(u64::from(covered), |t| &t.live_masked_prunes);
-        covered
-    }
-
-    /// The shared probe loop behind both covering checks, with an
-    /// explicit newest-first budget of strict (fingerprint-mismatched)
-    /// deep probes.
-    fn probe(&self, pc: usize, state: &AbsState, strict_budget: usize) -> bool {
-        let fp = state.fingerprint();
-        let mut strict_left = strict_budget;
-        let (mut checks, mut rejects) = (0u64, 0u64);
-        let mut covered = false;
-        for seen in self.buckets[pc].iter().rev() {
-            let full_probe = if seen.fp == fp {
-                true
-            } else if strict_left > 0 {
-                strict_left -= 1;
-                true
-            } else {
-                rejects += 1;
-                false
-            };
-            if full_probe {
-                checks += 1;
-                if state.is_subset_of(&seen.state) {
-                    covered = true;
-                    break;
-                }
-            }
-        }
-        count_probe(checks, rejects, covered);
-        covered
+        probe(&self.buckets[pc], state, true).is_some()
     }
 
     /// Records `state` as fully explored at `pc`, so later arrivals it
     /// covers are pruned.
     ///
-    /// Insertion performs **dominance eviction** — the newest
-    /// [`DOMINANCE_PROBES`] entries are dropped if the newcomer includes
-    /// them (their pruning power is subsumed) — and then enforces the
-    /// chain cap by evicting the oldest entry.
+    /// Insertion performs **dominance eviction** — the newest two
+    /// entries are dropped if the newcomer includes them (their pruning
+    /// power is subsumed) — and then enforces the chain cap by evicting
+    /// the oldest entry.
     pub fn insert(&mut self, pc: usize, state: AbsState) {
         let fp = state.fingerprint();
-        let bucket = &mut self.buckets[pc];
-        let lo = bucket.len().saturating_sub(DOMINANCE_PROBES);
-        let checks = (bucket.len() - lo) as u64;
-        let mut evicted = 0u64;
-        for i in (lo..bucket.len()).rev() {
-            if bucket[i].state.is_subset_of(&state) {
-                bucket.remove(i);
-                evicted += 1;
-            }
-        }
-        while bucket.len() >= self.cap {
-            bucket.remove(0);
-            evicted += 1;
-        }
-        bucket.push(Entry { fp, state });
-        count_insert(checks, evicted);
+        record(&mut self.buckets[pc], Entry { fp, state }, self.cap);
     }
 
     /// The surviving states recorded at `pc`, oldest first.
@@ -245,27 +285,13 @@ impl VisitedTable {
     }
 }
 
-/// Counts one covering probe: `checks` full inclusion checks,
-/// `rejects` fingerprint dismissals, and whether it pruned.
-fn count_probe(checks: u64, rejects: u64, pruned: bool) {
-    ledger::add(checks, |t| &t.subset_checks);
-    ledger::add(rejects, |t| &t.fingerprint_rejects);
-    ledger::add(u64::from(pruned), |t| &t.states_pruned);
-}
-
-/// Counts one insertion: `checks` dominance probes and `evicted`
-/// entries dropped (dominated or past the chain cap).
-fn count_insert(checks: u64, evicted: u64) {
-    ledger::add(checks, |t| &t.subset_checks);
-    ledger::add(evicted, |t| &t.visited_evicted);
-}
-
 /// Notes a prune that happened outside the tables — a path explorer's
 /// loop-head summary covering an arrival without a chain probe — so the
 /// `states_pruned`/`subset_checks` ledger stays complete (the cover was
 /// established by the inclusion scan `flow_join` opens with).
 pub(crate) fn note_summary_prune() {
-    count_probe(1, 0, true);
+    ledger::add(1, |t| &t.subset_checks);
+    ledger::add(1, |t| &t.states_pruned);
 }
 
 /// How many lock stripes a [`ConcurrentVisitedTable`] spreads its per-pc
@@ -275,14 +301,13 @@ pub(crate) fn note_summary_prune() {
 /// points rarely contend.
 const STRIPES: usize = 64;
 
-/// One recorded exploration in the shared table: the fingerprint plus
-/// the state's dense [`AbsState::to_parts`] snapshot. `AbsState` is
-/// `Rc`-backed and cannot cross threads; its snapshot is plain `Send`
-/// data, and probes test arrivals against it in place
-/// ([`AbsState::is_subset_of_parts`]) without ever rebuilding a state.
+/// A state as the shared table records it: its dense
+/// [`AbsState::to_parts`] snapshot. `AbsState` is `Rc`-backed and
+/// cannot cross threads; its snapshot is plain `Send` data, and probes
+/// test arrivals against it in place ([`AbsState::is_subset_of_parts`])
+/// without ever rebuilding a state.
 #[derive(Debug)]
-struct SharedEntry {
-    fp: u64,
+struct Snapshot {
     regs: [RegValue; REGS],
     chunks: SparseStack,
     /// The worker that inserted the entry — prunes observed by a
@@ -290,15 +315,23 @@ struct SharedEntry {
     worker: usize,
 }
 
+impl Recorded for Snapshot {
+    fn covers(&self, arrival: &AbsState) -> bool {
+        arrival.is_subset_of_parts(&self.regs, &self.chunks)
+    }
+
+    fn within(&self, newer: &Snapshot) -> bool {
+        AbsState::parts_subset_of_parts((&self.regs, &self.chunks), (&newer.regs, &newer.chunks))
+    }
+}
+
 /// The concurrent sibling of [`VisitedTable`] for the work-stealing
 /// path explorer (`verifier::parshard`): per-pc fingerprint chains
-/// sharded over [`STRIPES`] mutex stripes, with **identical**
-/// cap/eviction/probe semantics — the same [`STRICT_PROBES`] /
-/// [`MASKED_STRICT_PROBES`] budgets, the same newest-first
-/// [`DOMINANCE_PROBES`] dominance eviction, the same oldest-first chain
-/// cap — so a pruning decision made on one worker is immediately
-/// visible to (and byte-for-byte the same decision as on) every other
-/// worker.
+/// sharded over 64 mutex stripes, run by the **same** chain routine —
+/// the same strict-probe budgets, the same newest-first dominance
+/// eviction, the same oldest-first chain cap — so a pruning decision
+/// made on one worker is immediately visible to (and byte-for-byte the
+/// same decision as on) every other worker.
 ///
 /// States are stored as their dense `to_parts` snapshots (the same
 /// representation `verifier::batch` ships finished analyses across
@@ -311,7 +344,7 @@ struct SharedEntry {
 pub struct ConcurrentVisitedTable {
     /// `stripes[s]` holds the chains of pcs `s, s + n, s + 2n, …` where
     /// `n` is the stripe count; chain index within a stripe is `pc / n`.
-    stripes: Vec<Mutex<Vec<Vec<SharedEntry>>>>,
+    stripes: Vec<Mutex<Vec<Vec<Entry<Snapshot>>>>>,
     cap: usize,
 }
 
@@ -340,22 +373,19 @@ impl ConcurrentVisitedTable {
     /// by a different worker additionally counts as a cross-worker
     /// `shared_prunes` prune.
     pub fn is_covered(&self, pc: usize, state: &AbsState, worker: usize) -> bool {
-        self.probe(pc, state, STRICT_PROBES, worker)
+        self.covers(pc, state, false, worker)
     }
 
     /// [`VisitedTable::is_covered_masked`], against the shared chains:
     /// the liveness-cleaned probe path with its zero strict-probe
     /// budget, counted as `live_masked_prunes` on a hit.
     pub fn is_covered_masked(&self, pc: usize, state: &AbsState, worker: usize) -> bool {
-        let covered = self.probe(pc, state, MASKED_STRICT_PROBES, worker);
-        ledger::add(u64::from(covered), |t| &t.live_masked_prunes);
-        covered
+        self.covers(pc, state, true, worker)
     }
 
-    /// The shared probe loop — the same newest-first fingerprint-gated
-    /// walk as [`VisitedTable::probe`], under the pc's stripe lock.
-    fn probe(&self, pc: usize, state: &AbsState, strict_budget: usize, worker: usize) -> bool {
-        let fp = state.fingerprint();
+    /// The chain probe under the pc's stripe lock, plus the
+    /// cross-worker `shared_prunes` count.
+    fn covers(&self, pc: usize, state: &AbsState, masked: bool, worker: usize) -> bool {
         let n = self.stripes.len();
         // Poison recovery: a contained worker panic can only have left
         // the stripe's chains structurally intact (entries are appended
@@ -364,29 +394,8 @@ impl ConcurrentVisitedTable {
         let stripe = lock_recover(&self.stripes[pc % n]);
         // Fired while the stripe lock is held (see FaultSite docs).
         crate::failpoint::fire(crate::failpoint::FaultSite::VisitedProbe);
-        let mut strict_left = strict_budget;
-        let (mut checks, mut rejects) = (0u64, 0u64);
-        let mut hit = None;
-        for seen in stripe[pc / n].iter().rev() {
-            let full_probe = if seen.fp == fp {
-                true
-            } else if strict_left > 0 {
-                strict_left -= 1;
-                true
-            } else {
-                rejects += 1;
-                false
-            };
-            if full_probe {
-                checks += 1;
-                if state.is_subset_of_parts(&seen.regs, &seen.chunks) {
-                    hit = Some(seen.worker);
-                    break;
-                }
-            }
-        }
+        let hit = probe(&stripe[pc / n], state, masked).map(|seen| seen.worker);
         drop(stripe);
-        count_probe(checks, rejects, hit.is_some());
         let shared = hit.is_some_and(|inserter| inserter != worker);
         ledger::add(u64::from(shared), |t| &t.shared_prunes);
         hit.is_some()
@@ -398,34 +407,52 @@ impl ConcurrentVisitedTable {
     pub fn insert(&self, pc: usize, state: &AbsState, worker: usize) {
         let fp = state.fingerprint();
         let (regs, chunks) = state.to_parts();
+        let snapshot = Snapshot {
+            regs,
+            chunks,
+            worker,
+        };
         let n = self.stripes.len();
-        let (mut checks, mut evicted) = (0u64, 0u64);
-        {
-            let mut stripe = lock_recover(&self.stripes[pc % n]);
-            let bucket = &mut stripe[pc / n];
-            let lo = bucket.len().saturating_sub(DOMINANCE_PROBES);
-            for i in (lo..bucket.len()).rev() {
-                checks += 1;
-                if crate::state::AbsState::parts_subset_of_parts(
-                    (&bucket[i].regs, &bucket[i].chunks),
-                    (&regs, &chunks),
-                ) {
-                    bucket.remove(i);
-                    evicted += 1;
-                }
-            }
-            while bucket.len() >= self.cap {
-                bucket.remove(0);
-                evicted += 1;
-            }
-            bucket.push(SharedEntry {
+        let mut stripe = lock_recover(&self.stripes[pc % n]);
+        record(
+            &mut stripe[pc / n],
+            Entry {
                 fp,
-                regs,
-                chunks,
-                worker,
-            });
+                state: snapshot,
+            },
+            self.cap,
+        );
+    }
+}
+
+/// The visited table a path walk prunes against: the sequential
+/// explorer's own [`VisitedTable`], or the shared
+/// [`ConcurrentVisitedTable`] on behalf of one worker.
+pub(crate) trait Visited {
+    /// A checkpoint probe: whether a recorded state at `pc` covers
+    /// `state` (the masked probe when `masked`); an uncovered arrival
+    /// is recorded.
+    fn visit(&mut self, pc: usize, state: &AbsState, masked: bool) -> bool;
+}
+
+impl Visited for VisitedTable {
+    fn visit(&mut self, pc: usize, state: &AbsState, masked: bool) -> bool {
+        let covered = probe(&self.buckets[pc], state, masked).is_some();
+        if !covered {
+            self.insert(pc, state.clone());
         }
-        count_insert(checks, evicted);
+        covered
+    }
+}
+
+impl Visited for (&ConcurrentVisitedTable, usize) {
+    fn visit(&mut self, pc: usize, state: &AbsState, masked: bool) -> bool {
+        let (table, worker) = *self;
+        let covered = table.covers(pc, state, masked, worker);
+        if !covered {
+            table.insert(pc, state, worker);
+        }
+        covered
     }
 }
 

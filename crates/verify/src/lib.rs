@@ -6,7 +6,7 @@
 //! available in this environment, so this crate checks the **same logical
 //! formula by exhaustive enumeration** — exact and complete at a given
 //! bitwidth, which is precisely what bounded verification provides
-//! (see `DESIGN.md`, substitution 1).
+//! (see `EXPERIMENTS.md`, E1).
 //!
 //! Every checker is **generic over the abstract domain**: the
 //! quantification space comes from

@@ -3,14 +3,18 @@
 //! `Strategy::PathSensitive`, for every fixture and two programs shaped
 //! like the benchmark's `deep_paths` workload. The report at a pc is the
 //! join over every explored path reaching it, so any change to how
-//! arrivals fold into it (`AbsState::flow_join`) shows up here.
+//! arrivals fold into it (`AbsState::flow_join`) shows up here. The
+//! parallel path explorer (`Strategy::PathParallel`) runs the same
+//! per-arrival step and promises bit-identical reports, so the same
+//! file is checked under it too, at one and two jobs and at spawn
+//! depth 0 and the default.
 //!
 //! After an intended change to the reports, rewrite the golden file with
 //! `cargo test --test path_reports -- --ignored` and review its diff.
 
 use ebpf::asm::assemble;
 use ebpf::Program;
-use verifier::{StackSlot, Strategy, VerificationSession};
+use verifier::{AnalyzerOptions, StackSlot, Strategy, VerificationSession};
 
 const GOLDEN_PATH: &str = "tests/golden/path_reports.txt";
 const GOLDEN: &str = include_str!("golden/path_reports.txt");
@@ -56,10 +60,10 @@ fn corpus() -> Vec<(String, Program)> {
     out
 }
 
-/// The reports of every corpus program, one section per program.
-fn render() -> String {
+/// The reports of every corpus program under `session`, one section
+/// per program.
+fn render(session: &VerificationSession) -> String {
     use std::fmt::Write as _;
-    let session = VerificationSession::new().with_strategy(Strategy::PathSensitive);
     let mut out = String::new();
     for (label, prog) in corpus() {
         let _ = writeln!(out, "== {label}");
@@ -70,6 +74,7 @@ fn render() -> String {
                 continue;
             }
         };
+        assert_eq!(analysis.strategy(), session.strategy(), "{label}");
         out.push_str(&analysis.annotate(&prog));
         for pc in 0..prog.len() {
             let Some(state) = analysis.state_before(pc) else {
@@ -91,9 +96,21 @@ fn render() -> String {
     out
 }
 
-#[test]
-fn path_reports_match_the_golden_file() {
-    let got = render();
+fn path_session() -> VerificationSession {
+    VerificationSession::new().with_strategy(Strategy::PathSensitive)
+}
+
+/// Fails at the first line where `session`'s reports leave the golden
+/// file.
+fn assert_matches_golden(session: &VerificationSession) {
+    let got = render(session);
+    let options = session.options();
+    let run = format!(
+        "{} at explore_jobs {} spawn_depth {}",
+        session.strategy().name(),
+        options.explore_jobs,
+        options.spawn_depth
+    );
     if let Some((i, (g, w))) = got
         .lines()
         .zip(GOLDEN.lines())
@@ -101,15 +118,42 @@ fn path_reports_match_the_golden_file() {
         .find(|(_, (g, w))| g != w)
     {
         panic!(
-            "{GOLDEN_PATH} line {}:\n  golden: {w}\n  got:    {g}",
+            "{GOLDEN_PATH} line {} ({run}):\n  golden: {w}\n  got:    {g}",
             i + 1
         );
     }
-    assert_eq!(got, GOLDEN, "{GOLDEN_PATH}: reports differ in length");
+    assert_eq!(
+        got, GOLDEN,
+        "{GOLDEN_PATH} ({run}): reports differ in length"
+    );
+}
+
+#[test]
+fn path_reports_match_the_golden_file() {
+    assert_matches_golden(&path_session());
+}
+
+#[test]
+fn parshard_reports_match_the_golden_file() {
+    let default_depth = AnalyzerOptions::default().spawn_depth;
+    for explore_jobs in [1, 2] {
+        for spawn_depth in [0, default_depth] {
+            let options = AnalyzerOptions {
+                explore_jobs,
+                spawn_depth,
+                ..AnalyzerOptions::default()
+            };
+            assert_matches_golden(
+                &VerificationSession::new()
+                    .with_options(options)
+                    .with_strategy(Strategy::PathParallel),
+            );
+        }
+    }
 }
 
 #[test]
 #[ignore = "rewrites the golden file"]
 fn regenerate_the_golden_file() {
-    std::fs::write(GOLDEN_PATH, render()).expect("golden file writes");
+    std::fs::write(GOLDEN_PATH, render(&path_session())).expect("golden file writes");
 }
